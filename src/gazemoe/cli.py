@@ -12,9 +12,9 @@ import argparse
 import sys
 import traceback
 
-from .config import SyntheticSpec, TrainConfig, config_from_text
+from .config import SyntheticSpec, TrainConfig, load_config
 from .data import generate_synthetic
-from .errors import ConfigError, GazeMoeError, InputError
+from .errors import GazeMoeError, InputError
 from .train import evaluate, route_dump, run_gradcheck, train
 
 USAGE_EXIT = 1
@@ -72,31 +72,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(path, cls, overrides):
-    """Read key=value config text and append CLI overrides (last wins)."""
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    for entry in overrides:
-        if "=" not in entry:
-            raise ConfigError(f"--set expects KEY=VALUE, got {entry!r}")
-    text += "\n" + "\n".join(overrides) + "\n"
-    cfg = config_from_text(text, cls)
-    cfg.validate()
-    return cfg
-
-
 def _cmd_synth_gen(args) -> int:
-    spec = _load_config(args.spec, SyntheticSpec, args.set)
+    spec = load_config(args.spec, SyntheticSpec, args.set)
     manifest = generate_synthetic(spec, args.out)
     print(manifest)
     return 0
 
 
 def _cmd_train(args) -> int:
-    cfg = _load_config(args.config, TrainConfig, args.set)
+    cfg = load_config(args.config, TrainConfig, args.set)
     res = train(cfg, args.manifest, args.out)
     print(f"metrics: {res.metrics_path}")
     print(f"checkpoint_best: {res.best_dir} (epoch {res.best_epoch}, "
@@ -122,7 +106,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    cfg = _load_config(args.config, TrainConfig, args.set)
+    cfg = load_config(args.config, TrainConfig, args.set)
     report = run_gradcheck(cfg, max_coords_per_param=args.coords, tol=args.tol)
     print(report)
     return 0 if report.passed else INTERNAL_EXIT

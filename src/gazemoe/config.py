@@ -64,8 +64,15 @@ class ModelConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.num_experts < 1:
-            raise ConfigError(f"num_experts must be >= 1, got {self.num_experts}")
+        for name in ("num_experts", "in_channels", "stem_channels", "stem_stride",
+                     "gaze_feature_width"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("stage_channels", "stage_strides", "gaze_encoder_channels"):
+            if any(v < 1 for v in getattr(self, name)):
+                raise ConfigError(
+                    f"every {name} entry must be >= 1, got {getattr(self, name)}"
+                )
         if not 1 <= self.top_k <= self.num_experts:
             raise ConfigError(
                 f"top_k must be in [1, {self.num_experts}], got {self.top_k}"
@@ -90,8 +97,6 @@ class ModelConfig:
                 )
         if len(set(self.hybrid_positions)) != len(self.hybrid_positions):
             raise ConfigError("duplicate hybrid positions")
-        if self.stem_stride < 1:
-            raise ConfigError(f"stem_stride must be >= 1, got {self.stem_stride}")
         if self.num_classes < 2:
             raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
         if len(self.gaze_encoder_channels) < 1:
@@ -182,6 +187,19 @@ class SyntheticSpec:
             )
         if len(self.blob_radii) != len(self.blob_intensities):
             raise ConfigError("blob_radii and blob_intensities lengths differ")
+        # blob uses one radius per class, gaze the first two, patterns the first
+        drawn = {"blob": len(self.blob_radii), "gaze": 2, "patterns": 1}[self.task]
+        if len(self.blob_radii) < drawn:
+            raise ConfigError(
+                f"task {self.task!r} draws {drawn} blob radii, got {len(self.blob_radii)}"
+            )
+        for r in self.blob_radii[:drawn]:
+            # a blob keeps 1.5 radii from each border, so 3 radii must fit
+            if not 0 < 3 * r <= self.image_size:
+                raise ConfigError(
+                    f"blob radius {r} must be > 0 and at most image_size/3 "
+                    f"({self.image_size}/3)"
+                )
         if not 0.0 <= self.gaze_fidelity <= 1.0:
             raise ConfigError(f"gaze_fidelity must be in [0,1], got {self.gaze_fidelity}")
         if self.image_noise < 0 or self.heatmap_sigma <= 0:
@@ -281,10 +299,17 @@ def config_from_text(text: str, cls=TrainConfig):
     return cfg
 
 
-def load_config(path, cls=TrainConfig):
+def load_config(path, cls=TrainConfig, overrides=()):
+    """Read a config file, append ``KEY=VALUE`` overrides (last wins) and
+    validate the result."""
     try:
         with open(path) as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return config_from_text(text, cls)
+    for entry in overrides:
+        if "=" not in entry:
+            raise ConfigError(f"--set expects KEY=VALUE, got {entry!r}")
+    cfg = config_from_text(text + "\n" + "\n".join(overrides) + "\n", cls)
+    cfg.validate()
+    return cfg

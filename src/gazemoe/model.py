@@ -123,9 +123,6 @@ class HybridMoeNet(Module):
 
     # -- forward ------------------------------------------------------------
 
-    def encode_gaze(self, heatmap: Tensor) -> Tensor:
-        return self.gaze_encoder(heatmap)
-
     def __call__(self, image: Tensor,
                  heatmap: Tensor | None) -> tuple[Tensor, list[RoutingRecord]]:
         if image.ndim != 4:
@@ -140,7 +137,7 @@ class HybridMoeNet(Module):
                     f"batch mismatch: {image.shape[0]} images, "
                     f"{heatmap.shape[0]} heatmaps"
                 )
-            x_exp = self.encode_gaze(heatmap)
+            x_exp = self.gaze_encoder(heatmap)
 
         x = T.relu(self.stem(image))
         records: list[RoutingRecord] = []

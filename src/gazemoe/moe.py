@@ -121,18 +121,16 @@ class MoeBranch(Module):
                  branch: str) -> tuple[Tensor, RoutingRecord]:
         """h[b] = sum over selected j of weight[b,j] * expert_j(x[b])."""
         indices, weights, raw = self.route(routing_feature)
-        batch = x.shape[0]
-        n = self.experts.num_experts
-        combine = T.put_per_row(weights, indices, width=n)  # [B, N], zeros unselected
+        batch, k = indices.shape
+        flat = weights.reshape(batch * k, 1, 1, 1)  # row b*k + j holds weight[b, j]
         out = None
-        for i in range(n):
-            rows = np.nonzero((indices == i).any(axis=1))[0]
+        for i in range(self.experts.num_experts):
+            # experts are distinct within a row, so rows come out unique and sorted
+            rows, slots = np.nonzero(indices == i)
             if rows.size == 0:
                 continue
             h_i = self.experts.run_expert(i, T.take_rows(x, rows))
-            w_i = T.take_rows(combine, rows)  # [m, N]
-            w_col = T.take_per_row(w_i, np.full((rows.size, 1), i))  # [m, 1]
-            weighted = h_i * w_col.reshape(rows.size, 1, 1, 1)
+            weighted = h_i * T.take_rows(flat, rows * k + slots)
             scattered = T.put_rows(weighted, rows, num_rows=batch)
             out = scattered if out is None else out + scattered
         record = RoutingRecord(

@@ -2,8 +2,8 @@
 
 Tensors wrap a numpy array (float64 by default, float32 optional). Every
 differentiable operation records its inputs and a backward rule on the
-output tensor; ``backward`` linearizes the recorded graph into a Tape and
-propagates adjoints through it once, in reverse order. Gradients
+output tensor; ``backward`` orders the recorded graph by a depth-first
+walk and propagates adjoints through it once, in reverse order. Gradients
 accumulate into ``.grad`` until ``zero_grad`` is called.
 
 Top-k style index selection is deliberately *not* differentiable: the
@@ -13,7 +13,6 @@ back to the positions they came from, nothing more.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -150,46 +149,6 @@ def _lift(x, dtype) -> Tensor:
     return Tensor(np.asarray(x, dtype=dtype))
 
 
-@dataclass
-class TapeOp:
-    """One recorded operation: inputs, output, and its backward rule."""
-
-    inputs: tuple[Tensor, ...]
-    output: Tensor
-    backward: Callable[[np.ndarray], Sequence[np.ndarray | None]]
-
-
-@dataclass
-class Tape:
-    """Linearized compute graph in topological order.
-
-    Every op's inputs appear before the op itself; the backward pass
-    walks the list exactly once, in reverse.
-    """
-
-    ops: list[TapeOp]
-
-    @classmethod
-    def trace(cls, root: Tensor) -> "Tape":
-        ops: list[TapeOp] = []
-        visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                if node._backward is not None:
-                    ops.append(TapeOp(node._parents, node, node._backward))
-                continue
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                if parent.requires_grad:
-                    stack.append((parent, False))
-        return cls(ops)
-
-
 def _make_op(out_data: np.ndarray, parents: Iterable[Tensor], backward) -> Tensor:
     parents = tuple(parents)
     out = Tensor(out_data)
@@ -210,15 +169,31 @@ def backward(loss: Tensor) -> None:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
     if not loss.requires_grad:
         raise ContractError("loss does not require grad; nothing to differentiate")
-    tape = Tape.trace(loss)
+    # iterative post-order DFS: every op node lands after its inputs
+    nodes: list[Tensor] = []
+    visited: set[int] = set()
+    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            if node._backward is not None:
+                nodes.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        for parent in node._parents:
+            if parent.requires_grad:
+                stack.append((parent, False))
+
     adjoint: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     loss.accumulate_grad(adjoint[id(loss)])
-    for op in reversed(tape.ops):
-        g = adjoint.pop(id(op.output), None)
+    for node in reversed(nodes):
+        g = adjoint.pop(id(node), None)
         if g is None:
             continue
-        parent_grads = op.backward(g)
-        for parent, pg in zip(op.inputs, parent_grads):
+        for parent, pg in zip(node._parents, node._backward(g)):
             if pg is None or not parent.requires_grad:
                 continue
             key = id(parent)
@@ -226,15 +201,10 @@ def backward(loss: Tensor) -> None:
                 adjoint[key] = adjoint[key] + pg
             else:
                 adjoint[key] = pg
-        # leaves never appear as tape outputs, so flush their adjoints here
-        for parent in op.inputs:
+        # leaves are never op nodes, so flush their adjoints here
+        for parent in node._parents:
             if parent.requires_grad and parent.is_leaf and id(parent) in adjoint:
                 parent.accumulate_grad(adjoint.pop(id(parent)))
-
-
-def zero_grads(params: Iterable[Tensor]) -> None:
-    for p in params:
-        p.zero_grad()
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -512,15 +482,6 @@ def take_per_row(x: Tensor, idx: np.ndarray) -> Tensor:
         return (gx,)
 
     return _make_op(out, (x,), back)
-
-
-def put_per_row(x: Tensor, idx: np.ndarray, width: int) -> Tensor:
-    """Scatter along axis 1 per row into zeros: out[b, idx[b, j]] = x[b, j]."""
-    idx = np.asarray(idx, dtype=np.int64)
-    rows = np.arange(x.shape[0])[:, None]
-    out = np.zeros((x.shape[0], width), dtype=x.dtype)
-    out[rows, idx] = x.data
-    return _make_op(out, (x,), lambda g: (g[rows, idx],))
 
 
 # -- gradient verification ---------------------------------------------

@@ -19,9 +19,9 @@ import numpy as np
 
 from . import tensor as T
 from .config import TrainConfig, config_from_text, config_to_text
-from .data import (SampleManifest, augment, load_groups, load_manifest,
-                   read_pgm, subject_kfold, uniform_class_iter)
-from .errors import ConfigError, ContractError, NumericsError
+from .data import (SampleManifest, augment, load_groups, load_image,
+                   load_manifest, subject_kfold, uniform_class_iter)
+from .errors import ConfigError, ContractError, NumericsError, ValidationError
 from .losses import cross_entropy, load_balance_loss, total_loss
 from .metrics import accuracy, macro_auc, routing_purity
 from .model import HybridMoeNet, build_model
@@ -39,13 +39,23 @@ FINAL_DIR = "checkpoint_final"
 
 
 def _load_pixels(rows: list[SampleManifest]) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Decode every referenced PGM once; sample_id -> (image, heatmap) in [0,1]."""
+    """Decode every referenced PGM once; sample_id -> (image, heatmap),
+    each [1,H,W] in [0,1]. Every file must match the first one's shape."""
     cache = {}
+    first = None  # (path, shape) of the first file decoded
     for m in rows:
-        img, imax = read_pgm(m.image_path)
-        heat, hmax = read_pgm(m.heatmap_path)
-        cache[m.sample_id] = (img.astype(np.float64) / imax,
-                              heat.astype(np.float64) / hmax)
+        pair = []
+        for path in (m.image_path, m.heatmap_path):
+            pixels = load_image(path).data
+            first = first or (path, pixels.shape)
+            if pixels.shape != first[1]:
+                raise ValidationError(
+                    f"{path}: {pixels.shape[2]}x{pixels.shape[1]} pixels, but "
+                    f"{first[0]} is {first[1][2]}x{first[1][1]}; every image "
+                    f"and heatmap must share one size"
+                )
+            pair.append(pixels)
+        cache[m.sample_id] = tuple(pair)
     return cache
 
 
@@ -54,7 +64,6 @@ def _assemble(rows, cache, dtype, augment_cfg=None, rng=None):
     images, heatmaps, labels = [], [], []
     for m in rows:
         img, heat = cache[m.sample_id]
-        img, heat = img[None, :, :], heat[None, :, :]
         if augment_cfg is not None:
             img, heat = augment(img, heat, augment_cfg, rng)
         images.append(img)
@@ -109,8 +118,8 @@ class SplitReport:
     sample_ids: list = field(default_factory=list)
 
 
-def evaluate_split(model: HybridMoeNet, rows, cache, batch_size, lb_weight,
-                   dtype) -> SplitReport:
+def evaluate_split(model: HybridMoeNet, rows, cache, batch_size,
+                   lb_weight) -> SplitReport:
     """Metrics over a split without updates or augmentation.
 
     Cross-entropy is averaged per sample; the balance term is a
@@ -128,7 +137,7 @@ def evaluate_split(model: HybridMoeNet, rows, cache, batch_size, lb_weight,
     sample_ids = []
     with T.no_grad():
         for chunk in _chunks(rows, batch_size):
-            images, heatmaps, labels = _assemble(chunk, cache, dtype)
+            images, heatmaps, labels = _assemble(chunk, cache, model.dtype)
             logits, records, _, breakdown = _forward_losses(
                 model, images, heatmaps, labels, lb_weight
             )
@@ -207,8 +216,6 @@ def train(config: TrainConfig, manifest_path, out_dir) -> TrainResult:
     """Train on one subject-wise fold; writes metrics.csv plus best/final
     checkpoints under out_dir and returns where everything landed."""
     config.validate()
-    if not 0 <= config.fold < config.folds:
-        raise ConfigError(f"fold {config.fold} outside [0, {config.folds})")
     os.makedirs(out_dir, exist_ok=True)
 
     manifests = load_manifest(manifest_path, config.model.num_classes)
@@ -219,7 +226,6 @@ def train(config: TrainConfig, manifest_path, out_dir) -> TrainResult:
     test_rows = [by_id[i] for i in test_ids]
     cache = _load_pixels(manifests)
 
-    dtype = np.float64 if config.precision == "float64" else np.float32
     model = build_model(config.model, config.precision)
     config_text = config_to_text(config)
 
@@ -230,9 +236,9 @@ def train(config: TrainConfig, manifest_path, out_dir) -> TrainResult:
     def log_epoch(epoch: int) -> tuple[SplitReport, SplitReport]:
         nonlocal best_auc, best_epoch
         train_rep = evaluate_split(model, train_rows, cache, config.batch_size,
-                                   config.lb_weight, dtype)
+                                   config.lb_weight)
         test_rep = evaluate_split(model, test_rows, cache, config.batch_size,
-                                  config.lb_weight, dtype)
+                                  config.lb_weight)
         metric_rows.append(_metrics_row(model, epoch, "train", train_rep))
         metric_rows.append(_metrics_row(model, epoch, "test", test_rep))
         if test_rep.auc > best_auc:
@@ -257,7 +263,7 @@ def train(config: TrainConfig, manifest_path, out_dir) -> TrainResult:
         opt.lr = step_lr(epoch - 1, config.lr, config.step_size, config.gamma)
         for step in range(steps_per_epoch):
             batch = next(batch_iter)
-            images, heatmaps, labels = _assemble(batch, cache, dtype,
+            images, heatmaps, labels = _assemble(batch, cache, model.dtype,
                                                  aug_cfg, aug_rng)
             _, _, total, breakdown = _forward_losses(
                 model, images, heatmaps, labels, config.lb_weight
@@ -325,9 +331,8 @@ def evaluate(checkpoint_dir, manifest_path, fold: int | None = None) -> EvalResu
     else:
         rows = manifests
     cache = _load_pixels(rows)
-    dtype = np.float64 if config.precision == "float64" else np.float32
     report = evaluate_split(model, rows, cache, config.batch_size,
-                            config.lb_weight, dtype)
+                            config.lb_weight)
 
     purity: dict = {}
     groups_path = os.path.join(os.path.dirname(os.path.abspath(manifest_path)),
@@ -347,7 +352,7 @@ def evaluate(checkpoint_dir, manifest_path, fold: int | None = None) -> EvalResu
     return EvalResult(report=report, purity=purity)
 
 
-def collect_routing(model: HybridMoeNet, rows, cache, batch_size, dtype
+def collect_routing(model: HybridMoeNet, rows, cache, batch_size
                     ) -> tuple[list[RoutingRecord], list[str]]:
     """Forward a whole manifest in chunks and stitch per-branch routing
     records back together so each covers every sample once."""
@@ -357,7 +362,7 @@ def collect_routing(model: HybridMoeNet, rows, cache, batch_size, dtype
     sample_ids: list[str] = []
     with T.no_grad():
         for chunk in _chunks(rows, batch_size):
-            images, heatmaps, labels = _assemble(chunk, cache, dtype)
+            images, heatmaps, labels = _assemble(chunk, cache, model.dtype)
             _, records = model(images, heatmaps)
             sample_ids += [m.sample_id for m in chunk]
             for rec in records:
@@ -416,8 +421,7 @@ def route_dump(checkpoint_dir, manifest_path, out_path) -> str:
     model, config = load_model(checkpoint_dir)
     manifests = load_manifest(manifest_path, config.model.num_classes)
     cache = _load_pixels(manifests)
-    dtype = np.float64 if config.precision == "float64" else np.float32
     records, sample_ids = collect_routing(model, manifests, cache,
-                                          config.batch_size, dtype)
+                                          config.batch_size)
     write_routing_csv(out_path, records, sample_ids)
     return out_path

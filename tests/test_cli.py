@@ -5,9 +5,14 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from gazemoe import cli
 from gazemoe.cli import main
+from gazemoe.config import TrainConfig, load_config
+from gazemoe.data import SampleManifest, load_manifest, write_manifest, write_pgm
+from gazemoe.errors import ConfigError
 
 SPEC_TEXT = """\
 num_subjects=6
@@ -53,6 +58,14 @@ def run_cli(argv):
         return exc.code
 
 
+def assert_one_line_error(err, *needles):
+    """Bad input gets a single ``error:`` line and no traceback."""
+    assert err.startswith("error: "), err
+    assert err.count("\n") == 1, err
+    for needle in needles:
+        assert needle in err
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     root = str(tmp_path_factory.mktemp("cli"))
@@ -90,8 +103,12 @@ class TestUsage:
         assert run_cli(["train", "--config"]) == 1
 
     def test_subprocess_entry_point(self):
+        # the child imports the same gazemoe tree as this test process
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-m", "gazemoe"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 1
         assert "usage:" in proc.stderr
 
@@ -125,6 +142,27 @@ class TestSynthGen:
                         "--set", "num_subjects"]) == 1
         assert "KEY=VALUE" in capsys.readouterr().err
 
+    def test_blob_too_big_for_image_exits_1(self, workspace, capsys):
+        out = os.path.join(workspace["root"], "data6")
+        assert run_cli(["synth-gen", "--spec", workspace["spec"], "--out", out,
+                        "--set", "image_size=16",
+                        "--set", "blob_radii=4.0,7.0,10.0"]) == 1
+        assert_one_line_error(capsys.readouterr().err, "blob radius 7.0")
+        assert not os.path.exists(out)
+
+
+class TestLoadConfig:
+    def test_overrides_apply_in_order_and_validate(self, workspace):
+        cfg = load_config(workspace["config"], TrainConfig,
+                          ["epochs=4", "lr=0.5", "epochs=7"])
+        assert (cfg.epochs, cfg.lr, cfg.model.num_experts) == (7, 0.5, 2)
+        with pytest.raises(ConfigError, match="batch_size"):
+            load_config(workspace["config"], TrainConfig, ["batch_size=0"])
+
+    def test_override_without_equals_rejected(self, workspace):
+        with pytest.raises(ConfigError, match="KEY=VALUE"):
+            load_config(workspace["config"], TrainConfig, ["epochs"])
+
 
 class TestTrain:
     def test_writes_outputs_and_prints_summary(self, workspace, capsys):
@@ -155,6 +193,22 @@ class TestTrain:
                         "--manifest", workspace["manifest"],
                         "--out", os.path.join(tmp_path, "x")]) == 1
         assert "unknown config key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override, field", [
+        ("model.stage_strides=0,2", "stage_strides"),
+        ("model.stage_channels=0,8", "stage_channels"),
+        ("model.stem_channels=0", "stem_channels"),
+        ("model.gaze_feature_width=0", "gaze_feature_width"),
+        ("model.gaze_encoder_channels=0", "gaze_encoder_channels"),
+        ("model.in_channels=0", "in_channels"),
+    ])
+    def test_nonpositive_width_or_stride_exits_1(self, workspace, tmp_path, capsys,
+                                                 override, field):
+        assert run_cli(["train", "--config", workspace["config"],
+                        "--manifest", workspace["manifest"],
+                        "--out", os.path.join(tmp_path, "x"),
+                        "--set", override]) == 1
+        assert_one_line_error(capsys.readouterr().err, field, ">= 1")
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergent_training_exits_2(self, workspace, tmp_path, capsys):
@@ -199,6 +253,29 @@ class TestEval:
         printed = capsys.readouterr().out
         assert "purity_b0_dd:" in printed
         assert "purity_b0_de:" in printed
+
+
+class TestMixedPixelShapes:
+    def test_every_reader_exits_1_naming_the_odd_file(self, workspace, tmp_path,
+                                                      capsys):
+        rows = load_manifest(workspace["manifest"])
+        odd = os.path.join(tmp_path, "odd.pgm")
+        write_pgm(odd, np.zeros((20, 20)))
+        m = rows[3]
+        rows[3] = SampleManifest(m.sample_id, odd, m.heatmap_path, m.label,
+                                 m.subject_id)
+        manifest = os.path.join(tmp_path, "manifest.csv")
+        write_manifest(manifest, rows)
+        commands = [
+            ["train", "--config", workspace["config"], "--manifest", manifest,
+             "--out", os.path.join(tmp_path, "run")],
+            ["eval", "--checkpoint", workspace["checkpoint"], "--manifest", manifest],
+            ["route-dump", "--checkpoint", workspace["checkpoint"],
+             "--manifest", manifest, "--out", os.path.join(tmp_path, "r.csv")],
+        ]
+        for argv in commands:
+            assert run_cli(argv) == 1, argv[0]
+            assert_one_line_error(capsys.readouterr().err, odd, "20x20", "24x24")
 
 
 class TestGradcheck:

@@ -510,3 +510,33 @@ class TestGenerateSynthetic:
     def test_invalid_spec_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="4-class"):
             generate_synthetic(_tiny_spec(task="gaze", num_classes=3), str(tmp_path))
+
+    @pytest.mark.parametrize("task, radii, bad", [
+        ("blob", (3.0, 5.0, 11.0), "11.0"),
+        ("gaze", (3.0, 11.0, 1.0, 1.0), "11.0"),
+        ("patterns", (11.0, 1.0, 1.0, 1.0), "11.0"),
+        ("blob", (3.0, 0.0, 7.0), "0.0"),
+    ])
+    def test_blob_radius_must_fit_image(self, task, radii, bad):
+        num_classes = 3 if task == "blob" else 4
+        spec = _tiny_spec(task=task, num_classes=num_classes, blob_radii=radii,
+                          blob_intensities=(0.8,) * len(radii))
+        with pytest.raises(ConfigError, match=f"blob radius {bad} must be"):
+            spec.validate()
+
+    @pytest.mark.parametrize("task, radii, image_size", [
+        ("gaze", (3.0, 10.0, 99.0, 99.0), 30),  # gaze never draws a third radius
+        ("patterns", (4.0, 7.0, 10.0), 16),  # default radii; only the first drawn
+        ("blob", (3.0, 5.0, 10.0), 30),  # 3r == image_size is still drawable
+    ])
+    def test_undrawn_radii_are_not_checked(self, task, radii, image_size):
+        num_classes = 3 if task == "blob" else 4
+        _tiny_spec(task=task, num_classes=num_classes, blob_radii=radii,
+                   blob_intensities=(0.8,) * len(radii),
+                   image_size=image_size).validate()
+
+    def test_too_few_radii_for_task_rejected(self):
+        spec = _tiny_spec(task="gaze", num_classes=4, blob_radii=(3.0,),
+                          blob_intensities=(0.8,))
+        with pytest.raises(ConfigError, match="draws 2 blob radii"):
+            spec.validate()

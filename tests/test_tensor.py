@@ -277,14 +277,6 @@ def test_take_per_row_forward_and_grad():
     assert np.array_equal(x.grad, [[1.0, 0.0, 1.0], [0.0, 2.0, 0.0]])
 
 
-def test_put_per_row_forward_and_grad():
-    x = Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
-    out = T.put_per_row(x, np.array([[2, 0], [1, 3]]), width=4)
-    assert np.array_equal(out.data, [[2.0, 0.0, 1.0, 0.0], [0.0, 3.0, 0.0, 4.0]])
-    backward((out * out).sum())
-    assert np.array_equal(x.grad, [[2.0, 4.0], [6.0, 8.0]])
-
-
 # -- shape ops -----------------------------------------------------------
 
 
@@ -405,10 +397,11 @@ def _fd_case(name):
     if name == "index_ops":
         x = away_from_zero((4, 6))
         idx = np.array([[1, 4], [0, 2], [5, 3], [2, 2]])
-        out_idx = np.array([[0, 2], [1, 0], [2, 1], [0, 1]])
-        return [("x", x)], lambda: T.square(
-            T.put_per_row(T.take_per_row(x, idx), out_idx, width=3)
-        ).sum()
+        # row 3 is taken twice, so take_rows must accumulate its gradient
+        return [("x", x)], lambda: T.square(T.put_rows(
+            T.take_rows(T.take_per_row(x, idx), np.array([3, 0, 3, 2])),
+            np.array([5, 1, 0, 3]), num_rows=6,
+        )).sum()
     raise AssertionError(name)
 
 
