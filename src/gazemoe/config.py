@@ -68,7 +68,8 @@ class ModelConfig:
                      "gaze_feature_width"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("stage_channels", "stage_strides", "gaze_encoder_channels"):
+        for name in ("stage_channels", "blocks_per_stage", "stage_strides",
+                     "gaze_encoder_channels"):
             if any(v < 1 for v in getattr(self, name)):
                 raise ConfigError(
                     f"every {name} entry must be >= 1, got {getattr(self, name)}"

@@ -9,6 +9,9 @@ accumulate into ``.grad`` until ``zero_grad`` is called.
 Top-k style index selection is deliberately *not* differentiable: the
 indexing ops (``take_rows`` etc.) move values around and route gradients
 back to the positions they came from, nothing more.
+
+``conv2d`` runs as BLAS GEMMs over a channel-major patch matrix of shape
+[C*kh*kw, B*H'*W'], built from one shifted slice copy per kernel offset.
 """
 
 from __future__ import annotations
@@ -371,18 +374,29 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
 # -- convolution and pooling -------------------------------------------
 
 
+def _channel_major(x: np.ndarray, pad: int) -> np.ndarray:
+    """[B,C,H,W] -> [C,B,H+2*pad,W+2*pad], zero-padded in one copy (a view if pad is 0)."""
+    xc = x.transpose(1, 0, 2, 3)
+    if not pad:
+        return xc
+    C, B, H, W = xc.shape
+    xp = np.zeros((C, B, H + 2 * pad, W + 2 * pad), dtype=x.dtype)
+    xp[:, :, pad : pad + H, pad : pad + W] = xc
+    return xp
+
+
 def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> np.ndarray:
-    """[B,C,Hp,Wp] -> [B, oh*ow, C*kh*kw] patch matrix."""
-    b, c = xp.shape[:2]
-    sb, sc, sh, sw = xp.strides
-    view = np.lib.stride_tricks.as_strided(
-        xp,
-        shape=(b, c, oh, ow, kh, kw),
-        strides=(sb, sc, sh * stride, sw * stride, sh, sw),
-        writeable=False,
-    )
-    # [B, oh, ow, C, kh, kw] -> [B, L, C*kh*kw]
-    return view.transpose(0, 2, 3, 1, 4, 5).reshape(b, oh * ow, c * kh * kw)
+    """[C,B,Hp,Wp] -> [C*kh*kw, B*oh*ow] patch matrix.
+
+    Row ``(c*kh + i)*kw + j`` holds ``xp[c, b, i + stride*y, j + stride*x]``
+    over the output positions ``(b, y, x)``: one shifted slice per offset.
+    """
+    c, b = xp.shape[:2]
+    cols = np.empty((c, kh, kw, b, oh, ow), dtype=xp.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, i, j] = xp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
+    return cols.reshape(c * kh * kw, b * oh * ow)
 
 
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
@@ -390,6 +404,12 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
 
     x: [B,C,H,W], w: [O,C,kh,kw] -> [B,O,H',W'] with
     H' = (H + 2*pad - kh)//stride + 1.
+
+    Lowered to GEMMs over a channel-major patch matrix ``cols`` of shape
+    [C*kh*kw, B*H'*W']: forward ``w @ cols``, backward ``g @ cols.T`` for
+    the kernel and ``w.T @ g`` folded back for the input. Backward rebuilds
+    ``cols`` from ``x``: keeping the forward's copy would hold one patch
+    matrix per conv in the graph until backward reaches it.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise DimensionError(f"conv2d expects 4-d input and kernel, got {x.shape} and {w.shape}")
@@ -405,27 +425,27 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
         )
     oh = (H + 2 * pad - kh) // stride + 1
     ow = (W + 2 * pad - kw) // stride + 1
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
-    cols = _im2col(xp, kh, kw, stride, oh, ow)  # [B, L, CK]
     wmat = w.data.reshape(O, -1)  # [O, CK]
-    out = (cols @ wmat.T).transpose(0, 2, 1).reshape(B, O, oh, ow)
+    cols = _im2col(_channel_major(x.data, pad), kh, kw, stride, oh, ow)  # [CK, B*L]
+    out = (wmat @ cols).reshape(O, B, oh, ow).transpose(1, 0, 2, 3)
 
     def back(g):
-        g2 = g.transpose(0, 2, 3, 1).reshape(B, oh * ow, O)  # [B, L, O]
-        xp_b = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
-        cols_b = _im2col(xp_b, kh, kw, stride, oh, ow)
-        gw = np.einsum("blo,blk->ok", g2, cols_b).reshape(w.shape)
-        dcols = g2 @ wmat  # [B, L, CK]
-        dcols = dcols.reshape(B, oh, ow, C, kh, kw)
-        dxp = np.zeros((B, C, H + 2 * pad, W + 2 * pad), dtype=g.dtype)
+        gm = g.transpose(1, 0, 2, 3).reshape(O, B * oh * ow)  # [O, B*L]
+        cols_b = _im2col(_channel_major(x.data, pad), kh, kw, stride, oh, ow)
+        gw = (gm @ cols_b.T).reshape(w.shape)
+        del cols_b
+        if not x.requires_grad:
+            return None, gw
+        dcols = (wmat.T @ gm).reshape(C, kh, kw, B, oh, ow)
+        dxp = np.zeros((C, B, H + 2 * pad, W + 2 * pad), dtype=g.dtype)
         # fold: one shifted slice-add per kernel offset
         for i in range(kh):
             for j in range(kw):
                 dxp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += (
-                    dcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
+                    dcols[:, i, j]
                 )
-        dx = dxp[:, :, pad : pad + H, pad : pad + W] if pad else dxp
-        return dx, gw
+        dx = dxp[:, :, pad : pad + H, pad : pad + W].transpose(1, 0, 2, 3)
+        return np.ascontiguousarray(dx), gw
 
     return _make_op(out, (x, w), back)
 

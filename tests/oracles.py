@@ -49,6 +49,35 @@ def conv2d_oracle(x, w, stride=1, pad=0):
     return out
 
 
+def conv2d_grad_oracle(x, w, g, stride=1, pad=0):
+    """Gradients ``(dx, dw)`` of ``sum(g * conv2d(x, w))`` by direct loops.
+
+    Every (output position, kernel tap) pair adds ``g * w`` into the input
+    pixel it read and ``g * x`` into the kernel weight it used.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
+    g = np.asarray(g, dtype=np.float64)
+    B, C, H, W = x.shape
+    O, _, kh, kw = w.shape
+    _, _, oh, ow = g.shape
+    xp = np.zeros((B, C, H + 2 * pad, W + 2 * pad))
+    xp[:, :, pad : pad + H, pad : pad + W] = x
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(w)
+    for b in range(B):
+        for o in range(O):
+            for i in range(oh):
+                for j in range(ow):
+                    for c in range(C):
+                        for di in range(kh):
+                            for dj in range(kw):
+                                r, q = i * stride + di, j * stride + dj
+                                dxp[b, c, r, q] += g[b, o, i, j] * w[o, c, di, dj]
+                                dw[o, c, di, dj] += g[b, o, i, j] * xp[b, c, r, q]
+    return dxp[:, :, pad : pad + H, pad : pad + W], dw
+
+
 def softmax_oracle(row):
     """Plain exp-normalization of one row (no shift trick)."""
     exps = [math.exp(v) for v in row]

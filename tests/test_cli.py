@@ -201,6 +201,8 @@ class TestTrain:
         ("model.gaze_feature_width=0", "gaze_feature_width"),
         ("model.gaze_encoder_channels=0", "gaze_encoder_channels"),
         ("model.in_channels=0", "in_channels"),
+        ("model.blocks_per_stage=-1,1", "blocks_per_stage"),
+        ("model.blocks_per_stage=0,1", "blocks_per_stage"),
     ])
     def test_nonpositive_width_or_stride_exits_1(self, workspace, tmp_path, capsys,
                                                  override, field):

@@ -1,5 +1,7 @@
 """Tensor engine: forward oracles, backward rules, finite-difference checks."""
 
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -89,13 +91,69 @@ def test_conv2d_window_sum_example():
     assert np.array_equal(out.data, oracles.conv2d_oracle(x, w))
 
 
-@pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 0), (2, 1), (3, 2)])
-def test_conv2d_random_matches_oracle(stride, pad):
+# name -> (input shape, kernel shape, stride, pad). The named entries are the
+# geometries the models build: residual 3x3 convs, strided 3x3 convs on odd
+# and even sizes, the 1x1 strided projection, the one-channel stem and gaze
+# encoder input, and a widening conv.
+CONV_GEOMETRIES = {
+    "1-0": ((2, 3, 7, 6), (4, 3, 3, 3), 1, 0),
+    "1-1": ((2, 3, 7, 6), (4, 3, 3, 3), 1, 1),
+    "2-0": ((2, 3, 7, 6), (4, 3, 3, 3), 2, 0),
+    "2-1": ((2, 3, 7, 6), (4, 3, 3, 3), 2, 1),
+    "3-2": ((2, 3, 7, 6), (4, 3, 3, 3), 3, 2),
+    "3x3-s1-p1": ((2, 3, 6, 6), (3, 3, 3, 3), 1, 1),
+    "3x3-s2-p1-odd": ((2, 2, 7, 5), (3, 2, 3, 3), 2, 1),
+    "3x3-s2-p1-even": ((2, 2, 8, 6), (3, 2, 3, 3), 2, 1),
+    "1x1-s2-p0": ((2, 3, 6, 7), (5, 3, 1, 1), 2, 0),
+    "c1": ((3, 1, 8, 8), (4, 1, 3, 3), 2, 1),
+    "o-gt-c": ((2, 2, 5, 5), (6, 2, 3, 3), 1, 1),
+}
+MODEL_CONV_GEOMETRIES = ["3x3-s1-p1", "3x3-s2-p1-odd", "3x3-s2-p1-even", "1x1-s2-p0", "c1",
+                         "o-gt-c"]
+
+
+@pytest.mark.parametrize("geometry", list(CONV_GEOMETRIES))
+def test_conv2d_random_matches_oracle(geometry):
+    x_shape, w_shape, stride, pad = CONV_GEOMETRIES[geometry]
     rng = np.random.default_rng(stride * 10 + pad)
-    x = rng.normal(size=(2, 3, 7, 6))
-    w = rng.normal(size=(4, 3, 3, 3))
-    out = T.conv2d(Tensor(x), Tensor(w), stride=stride, pad=pad)
+    x = rng.normal(size=x_shape)
+    w = rng.normal(size=w_shape)
+    xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+    out = T.conv2d(xt, wt, stride=stride, pad=pad)
     np.testing.assert_allclose(out.data, oracles.conv2d_oracle(x, w, stride, pad), atol=1e-12)
+    g = rng.normal(size=out.shape)
+    T.backward((out * Tensor(g)).sum())
+    dx, dw = oracles.conv2d_grad_oracle(x, w, g, stride, pad)
+    np.testing.assert_allclose(xt.grad, dx, atol=1e-12)
+    np.testing.assert_allclose(wt.grad, dw, atol=1e-12)
+
+
+def test_conv2d_float32_stays_float32():
+    rng = np.random.default_rng(32)
+    x = rng.normal(size=(2, 3, 7, 6)).astype(np.float32)
+    w = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
+    g = rng.normal(size=(2, 4, 4, 3)).astype(np.float32)
+    xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+    out = T.conv2d(xt, wt, stride=2, pad=1)
+    T.backward((out * Tensor(g)).sum())
+    assert out.dtype == xt.grad.dtype == wt.grad.dtype == np.float32
+    dx, dw = oracles.conv2d_grad_oracle(x, w, g, stride=2, pad=1)
+    np.testing.assert_allclose(out.data, oracles.conv2d_oracle(x, w, 2, 1), rtol=1e-5, atol=1e-5)
+    np.testing.assert_allclose(xt.grad, dx, rtol=1e-5, atol=1e-5)
+    np.testing.assert_allclose(wt.grad, dw, rtol=1e-5, atol=1e-5)
+
+
+def test_conv2d_input_without_grad_gets_none_and_same_kernel_grad():
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(2, 1, 8, 8))
+    w = rng.normal(size=(4, 1, 3, 3))
+    grads = []
+    for x_requires_grad in (True, False):
+        xt, wt = Tensor(x, requires_grad=x_requires_grad), Tensor(w, requires_grad=True)
+        T.backward(T.square(T.conv2d(xt, wt, stride=2, pad=1)).sum())
+        grads.append(wt.grad)
+    assert xt.grad is None
+    np.testing.assert_array_equal(grads[0], grads[1])
 
 
 def test_conv2d_kernel_too_large():
@@ -343,7 +401,8 @@ def test_finite_diff_report_flags_wrong_gradient():
 
 
 def _fd_case(name):
-    rng = np.random.default_rng(hash(name) % (2**32))
+    # str hash() is salted per process; crc32 gives each case the same data every run
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
 
     def away_from_zero(shape):
         return Tensor(rng.uniform(0.2, 1.5, size=shape) * rng.choice([-1.0, 1.0], size=shape),
@@ -384,10 +443,15 @@ def _fd_case(name):
     if name == "sum_keepdims":
         a = away_from_zero((3, 5))
         return [("a", a)], lambda: (a * a.sum(axis=0, keepdims=True)).sum()
-    if name == "conv2d":
-        x = away_from_zero((2, 2, 5, 5))
-        w = away_from_zero((3, 2, 3, 3))
-        return [("x", x), ("w", w)], lambda: T.square(T.conv2d(x, w, stride=2, pad=1)).sum()
+    if name == "conv2d" or name.startswith("conv2d-"):
+        x_shape, w_shape, stride, pad = (
+            ((2, 2, 5, 5), (3, 2, 3, 3), 2, 1) if name == "conv2d"
+            else CONV_GEOMETRIES[name.removeprefix("conv2d-")]
+        )
+        x = away_from_zero(x_shape)
+        w = away_from_zero(w_shape)
+        return [("x", x), ("w", w)], lambda: T.square(
+            T.conv2d(x, w, stride=stride, pad=pad)).sum()
     if name == "global_avg_pool":
         x = away_from_zero((2, 3, 4, 4))
         return [("x", x)], lambda: T.square(T.global_avg_pool(x)).sum()
@@ -411,7 +475,7 @@ def _fd_case(name):
         "add_broadcast", "mul_broadcast", "sub_neg_scale", "square_exp_log",
         "matmul", "relu", "sigmoid", "softmax", "log_softmax", "mean_axis",
         "sum_keepdims", "conv2d", "global_avg_pool", "concat_transpose", "index_ops",
-    ],
+    ] + [f"conv2d-{geometry}" for geometry in MODEL_CONV_GEOMETRIES],
 )
 def test_op_gradients_match_finite_differences(case):
     params, f = _fd_case(case)
