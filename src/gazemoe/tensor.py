@@ -12,6 +12,12 @@ back to the positions they came from, nothing more.
 
 ``conv2d`` runs as BLAS GEMMs over a channel-major patch matrix of shape
 [C*kh*kw, B*H'*W'], built from one shifted slice copy per kernel offset.
+The matrix is never held whole: it is built a few samples at a time in
+one reused, L2-sized buffer, and each chunk is GEMMed straight into the
+output (forward) or the kernel gradient (backward). A stride-1 conv with a
+square kernel wider than its padding gets its input gradient as a conv of
+the output gradient with the flipped kernel; every other conv folds each
+chunk's ``w.T @ g`` back into the input.
 """
 
 from __future__ import annotations
@@ -374,6 +380,16 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
 # -- convolution and pooling -------------------------------------------
 
 
+# Patch-matrix chunk budget in bytes. One core's L2 is 2 MiB on the 2-vCPU
+# Xeon this was tuned on, so a 1 MiB chunk is still cached when its GEMM
+# reads it. Summed over the six B=64 quickstart conv shapes (float64,
+# OpenBLAS, one thread), budgets of 0.5/1/2/4 MiB took 27.0/24.7/25.4/38.8 ms
+# forward and 60.9/61.2/73.5/97.4 ms backward. A whole patch matrix is
+# worse still: past 32 MiB glibc maps every fresh buffer with new pages, so
+# each call pays the page faults again.
+_PATCH_BYTES = 1 << 20
+
+
 def _channel_major(x: np.ndarray, pad: int) -> np.ndarray:
     """[B,C,H,W] -> [C,B,H+2*pad,W+2*pad], zero-padded in one copy (a view if pad is 0)."""
     xc = x.transpose(1, 0, 2, 3)
@@ -385,18 +401,43 @@ def _channel_major(x: np.ndarray, pad: int) -> np.ndarray:
     return xp
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> np.ndarray:
-    """[C,B,Hp,Wp] -> [C*kh*kw, B*oh*ow] patch matrix.
+def _patch_chunks(x: np.ndarray, kh: int, kw: int, stride: int, pad: int, oh: int, ow: int):
+    """Yield ``(b0, cols)``: the patch matrix of ``x[b0:b0+n]`` as [C*kh*kw, n, oh*ow].
 
     Row ``(c*kh + i)*kw + j`` holds ``xp[c, b, i + stride*y, j + stride*x]``
-    over the output positions ``(b, y, x)``: one shifted slice per offset.
+    over the chunk's output positions ``(b, y, x)``, one shifted slice copy
+    per kernel offset. Every chunk is written into the same buffer of about
+    ``_PATCH_BYTES``, so a yielded ``cols`` is valid only until the next one.
     """
-    c, b = xp.shape[:2]
-    cols = np.empty((c, kh, kw, b, oh, ow), dtype=xp.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, i, j] = xp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
-    return cols.reshape(c * kh * kw, b * oh * ow)
+    B, C = x.shape[:2]
+    xp = _channel_major(x, pad)
+    per_sample = C * kh * kw * oh * ow * x.itemsize
+    nb = max(1, min(B, _PATCH_BYTES // per_sample))
+    buf = np.empty((C, kh, kw, nb, oh, ow), dtype=x.dtype)
+    for b0 in range(0, B, nb):
+        n = min(nb, B - b0)
+        cols = buf[:, :, :, :n]
+        for i in range(kh):
+            for j in range(kw):
+                cols[:, i, j] = xp[:, b0 : b0 + n, i : i + stride * oh : stride,
+                                   j : j + stride * ow : stride]
+        yield b0, cols.reshape(C * kh * kw, n, oh * ow)
+
+
+def _conv_forward(x: np.ndarray, w: np.ndarray, stride: int, pad: int) -> np.ndarray:
+    """Cross-correlate [B,C,H,W] with [O,C,kh,kw] -> contiguous [B,O,H',W'].
+
+    Each chunk's GEMM writes its samples' rows of the output directly.
+    """
+    B, _, H, W = x.shape
+    O, _, kh, kw = w.shape
+    oh = (H + 2 * pad - kh) // stride + 1
+    ow = (W + 2 * pad - kw) // stride + 1
+    wmat = w.reshape(O, -1)  # [O, CK]
+    out = np.empty((B, O, oh * ow), dtype=np.result_type(x, w))
+    for b0, cols in _patch_chunks(x, kh, kw, stride, pad, oh, ow):
+        np.matmul(wmat, cols.transpose(1, 0, 2), out=out[b0 : b0 + cols.shape[1]])
+    return out.reshape(B, O, oh, ow)
 
 
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
@@ -405,11 +446,17 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     x: [B,C,H,W], w: [O,C,kh,kw] -> [B,O,H',W'] with
     H' = (H + 2*pad - kh)//stride + 1.
 
-    Lowered to GEMMs over a channel-major patch matrix ``cols`` of shape
-    [C*kh*kw, B*H'*W']: forward ``w @ cols``, backward ``g @ cols.T`` for
-    the kernel and ``w.T @ g`` folded back for the input. Backward rebuilds
-    ``cols`` from ``x``: keeping the forward's copy would hold one patch
-    matrix per conv in the graph until backward reaches it.
+    Lowered to GEMMs over a channel-major patch matrix of shape
+    [C*kh*kw, B*H'*W'] that is never built whole: ``_patch_chunks`` fills
+    it a few samples at a time in one reused ~1 MiB buffer. Forward GEMMs
+    each chunk with ``w`` straight into the output. Backward rebuilds the
+    chunks from ``x`` (keeping them would hold a patch matrix per conv in
+    the graph) and sums ``g @ cols.T`` per chunk for the kernel. The input
+    gradient, when ``x`` needs one, is a stride-1 conv of ``g`` with the
+    flipped, transposed kernel and padding ``k - 1 - pad`` if ``stride == 1``
+    and the kernel is a square k x k with ``pad < k`` (its output is exactly
+    H x W); otherwise each chunk's ``w.T @ g`` is folded back with one
+    slice-add per kernel offset.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise DimensionError(f"conv2d expects 4-d input and kernel, got {x.shape} and {w.shape}")
@@ -423,29 +470,35 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
         raise DimensionError(
             f"kernel {kh}x{kw} larger than padded input {H + 2 * pad}x{W + 2 * pad}"
         )
-    oh = (H + 2 * pad - kh) // stride + 1
-    ow = (W + 2 * pad - kw) // stride + 1
-    wmat = w.data.reshape(O, -1)  # [O, CK]
-    cols = _im2col(_channel_major(x.data, pad), kh, kw, stride, oh, ow)  # [CK, B*L]
-    out = (wmat @ cols).reshape(O, B, oh, ow).transpose(1, 0, 2, 3)
+    out = _conv_forward(x.data, w.data, stride, pad)
+    oh, ow = out.shape[2:]
 
     def back(g):
-        gm = g.transpose(1, 0, 2, 3).reshape(O, B * oh * ow)  # [O, B*L]
-        cols_b = _im2col(_channel_major(x.data, pad), kh, kw, stride, oh, ow)
-        gw = (gm @ cols_b.T).reshape(w.shape)
-        del cols_b
-        if not x.requires_grad:
-            return None, gw
-        dcols = (wmat.T @ gm).reshape(C, kh, kw, B, oh, ow)
-        dxp = np.zeros((C, B, H + 2 * pad, W + 2 * pad), dtype=g.dtype)
-        # fold: one shifted slice-add per kernel offset
-        for i in range(kh):
-            for j in range(kw):
-                dxp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += (
-                    dcols[:, i, j]
-                )
-        dx = dxp[:, :, pad : pad + H, pad : pad + W].transpose(1, 0, 2, 3)
-        return np.ascontiguousarray(dx), gw
+        transposed_dx = x.requires_grad and stride == 1 and kh == kw and pad < kh
+        folded_dx = x.requires_grad and not transposed_dx
+        wmat = w.data.reshape(O, -1)
+        gw = np.zeros((O, C * kh * kw), dtype=np.result_type(g, x.data))
+        if folded_dx:
+            dxp = np.zeros((C, B, H + 2 * pad, W + 2 * pad), dtype=g.dtype)
+        for b0, cols in _patch_chunks(x.data, kh, kw, stride, pad, oh, ow):
+            n = cols.shape[1]
+            gm = g[b0 : b0 + n].transpose(1, 0, 2, 3).reshape(O, -1)  # [O, n*L]
+            gw += gm @ cols.reshape(C * kh * kw, -1).T
+            if folded_dx:
+                dcols = (wmat.T @ gm).reshape(C, kh, kw, n, oh, ow)
+                # fold: one shifted slice-add per kernel offset
+                for i in range(kh):
+                    for j in range(kw):
+                        dxp[:, b0 : b0 + n, i : i + stride * oh : stride,
+                            j : j + stride * ow : stride] += dcols[:, i, j]
+        gw = gw.reshape(w.shape)
+        if transposed_dx:
+            wflip = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+            return _conv_forward(g, wflip, 1, kh - 1 - pad), gw
+        if folded_dx:
+            dx = dxp[:, :, pad : pad + H, pad : pad + W].transpose(1, 0, 2, 3)
+            return np.ascontiguousarray(dx), gw
+        return None, gw
 
     return _make_op(out, (x, w), back)
 
@@ -471,9 +524,16 @@ def take_rows(x: Tensor, idx: np.ndarray) -> Tensor:
     idx = np.asarray(idx, dtype=np.int64)
     out = x.data[idx]
 
+    # MoE dispatch passes sorted unique rows (from np.nonzero); those need no
+    # unbuffered add.at, and 0 + g is the same bits either way
+    distinct = idx.ndim == 1 and (idx.size == 0 or idx[0] >= 0) and bool(np.all(np.diff(idx) > 0))
+
     def back(g):
         gx = np.zeros_like(x.data)
-        np.add.at(gx, idx, g)
+        if distinct:
+            gx[idx] += g
+        else:
+            np.add.at(gx, idx, g)
         return (gx,)
 
     return _make_op(out, (x,), back)

@@ -229,7 +229,11 @@ def train(config: TrainConfig, manifest_path, out_dir) -> TrainResult:
     model = build_model(config.model, config.precision)
     config_text = config_to_text(config)
 
-    metric_rows: list[list[str]] = []
+    # header now, then both rows of each epoch as soon as they exist, so a
+    # run that dies mid-way keeps the epochs it finished
+    metrics_path = os.path.join(out_dir, METRICS_NAME)
+    with open(metrics_path, "w", newline="") as fh:
+        csv.writer(fh).writerow(metrics_header(model))
     best_auc = -math.inf
     best_epoch = -1
 
@@ -239,8 +243,9 @@ def train(config: TrainConfig, manifest_path, out_dir) -> TrainResult:
                                    config.lb_weight)
         test_rep = evaluate_split(model, test_rows, cache, config.batch_size,
                                   config.lb_weight)
-        metric_rows.append(_metrics_row(model, epoch, "train", train_rep))
-        metric_rows.append(_metrics_row(model, epoch, "test", test_rep))
+        with open(metrics_path, "a", newline="") as fh:
+            csv.writer(fh).writerows([_metrics_row(model, epoch, "train", train_rep),
+                                      _metrics_row(model, epoch, "test", test_rep)])
         if test_rep.auc > best_auc:
             best_auc = test_rep.auc
             best_epoch = epoch
@@ -278,11 +283,6 @@ def train(config: TrainConfig, manifest_path, out_dir) -> TrainResult:
             opt.step()
         train_rep, test_rep = log_epoch(epoch)
 
-    metrics_path = os.path.join(out_dir, METRICS_NAME)
-    with open(metrics_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(metrics_header(model))
-        writer.writerows(metric_rows)
     final_dir = os.path.join(out_dir, FINAL_DIR)
     save_checkpoint(final_dir, model.named_parameters(), config_text)
     return TrainResult(

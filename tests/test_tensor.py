@@ -1,5 +1,6 @@
 """Tensor engine: forward oracles, backward rules, finite-difference checks."""
 
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -107,14 +108,24 @@ CONV_GEOMETRIES = {
     "1x1-s2-p0": ((2, 3, 6, 7), (5, 3, 1, 1), 2, 0),
     "c1": ((3, 1, 8, 8), (4, 1, 3, 3), 2, 1),
     "o-gt-c": ((2, 2, 5, 5), (6, 2, 3, 3), 1, 1),
+    # stride 1 with pad >= k: the input gradient takes the fold path
+    "1x1-s1-p1": ((2, 3, 5, 4), (4, 3, 1, 1), 1, 1),
+    # stride 1 with a non-square kernel also folds the input gradient
+    "3x2-s1-p1": ((2, 3, 5, 6), (4, 3, 3, 2), 1, 1),
 }
 MODEL_CONV_GEOMETRIES = ["3x3-s1-p1", "3x3-s2-p1-odd", "3x3-s2-p1-even", "1x1-s2-p0", "c1",
                          "o-gt-c"]
 
 
 @pytest.mark.parametrize("geometry", list(CONV_GEOMETRIES))
-def test_conv2d_random_matches_oracle(geometry):
+def test_conv2d_random_matches_oracle(geometry, monkeypatch):
     x_shape, w_shape, stride, pad = CONV_GEOMETRIES[geometry]
+    # five samples at two per patch chunk: the chunk loop runs three times and
+    # the last chunk is partial
+    x_shape = (5,) + x_shape[1:]
+    (_, C, H, W), (_, _, kh, kw) = x_shape, w_shape
+    oh, ow = (H + 2 * pad - kh) // stride + 1, (W + 2 * pad - kw) // stride + 1
+    monkeypatch.setattr(T, "_PATCH_BYTES", 2 * C * kh * kw * oh * ow * 8)
     rng = np.random.default_rng(stride * 10 + pad)
     x = rng.normal(size=x_shape)
     w = rng.normal(size=w_shape)
@@ -132,15 +143,38 @@ def test_conv2d_float32_stays_float32():
     rng = np.random.default_rng(32)
     x = rng.normal(size=(2, 3, 7, 6)).astype(np.float32)
     w = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
-    g = rng.normal(size=(2, 4, 4, 3)).astype(np.float32)
-    xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
-    out = T.conv2d(xt, wt, stride=2, pad=1)
-    T.backward((out * Tensor(g)).sum())
-    assert out.dtype == xt.grad.dtype == wt.grad.dtype == np.float32
-    dx, dw = oracles.conv2d_grad_oracle(x, w, g, stride=2, pad=1)
-    np.testing.assert_allclose(out.data, oracles.conv2d_oracle(x, w, 2, 1), rtol=1e-5, atol=1e-5)
-    np.testing.assert_allclose(xt.grad, dx, rtol=1e-5, atol=1e-5)
-    np.testing.assert_allclose(wt.grad, dw, rtol=1e-5, atol=1e-5)
+    # stride 2 folds the input gradient; stride 1 computes it as a transposed conv
+    for stride, g_shape in ((2, (2, 4, 4, 3)), (1, (2, 4, 7, 6))):
+        g = rng.normal(size=g_shape).astype(np.float32)
+        xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+        out = T.conv2d(xt, wt, stride=stride, pad=1)
+        T.backward((out * Tensor(g)).sum())
+        assert out.dtype == xt.grad.dtype == wt.grad.dtype == np.float32
+        dx, dw = oracles.conv2d_grad_oracle(x, w, g, stride=stride, pad=1)
+        np.testing.assert_allclose(out.data, oracles.conv2d_oracle(x, w, stride, 1),
+                                   rtol=1e-5, atol=1e-5)
+        np.testing.assert_allclose(xt.grad, dx, rtol=1e-5, atol=1e-5)
+        np.testing.assert_allclose(wt.grad, dw, rtol=1e-5, atol=1e-5)
+
+
+def test_conv2d_peak_memory_stays_near_input_size():
+    # the dominant model conv; a whole [C*9, B*H*W] patch matrix is 9x the input
+    rng = np.random.default_rng(64)
+    x = Tensor(rng.normal(size=(64, 8, 32, 32)), requires_grad=True)
+    w = Tensor(rng.normal(size=(8, 8, 3, 3)), requires_grad=True)
+    g = np.ones((64, 8, 32, 32))
+    tracemalloc.start()
+    try:
+        out = T.conv2d(x, w, stride=1, pad=1)
+        fwd_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out._backward(g)
+        bwd_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert fwd_peak < 4 * x.data.nbytes, fwd_peak
+    assert bwd_peak < 4 * x.data.nbytes, bwd_peak
 
 
 def test_conv2d_input_without_grad_gets_none_and_same_kernel_grad():
@@ -317,6 +351,21 @@ def test_take_rows_forward_and_grad():
     backward(out.sum())
     # row 0 selected twice -> gradient 2
     assert np.array_equal(x.grad, [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]])
+
+
+@pytest.mark.parametrize("idx", [[0, 2, 5], [5, 0, 2], [2, 2, 0], [-6, 0, 3], [1], []],
+                         ids=["sorted", "unsorted", "repeated", "aliased-negative", "one",
+                              "empty"])
+def test_take_rows_grad_matches_add_at_bitwise(idx):
+    rng = np.random.default_rng(6)
+    x = Tensor(rng.normal(size=(6, 2, 3)), requires_grad=True)
+    idx = np.array(idx, dtype=np.int64)
+    g = rng.normal(size=(len(idx), 2, 3))
+    g[..., 0] = -0.0  # the sum must keep add.at's sign of zero too
+    (gx,) = T.take_rows(x, idx)._backward(g)
+    expected = np.zeros_like(x.data)
+    np.add.at(expected, idx, g)
+    assert np.array_equal(gx.view(np.uint64), expected.view(np.uint64))
 
 
 def test_put_rows_forward_and_grad():

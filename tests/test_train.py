@@ -3,6 +3,7 @@ eval-after-train consistency, divergence aborts, and the balance-term
 and loss-descent training invariants."""
 
 import csv
+import importlib
 import os
 
 import numpy as np
@@ -102,6 +103,31 @@ class TestMetricsCsv:
         train_rows = [r for r in _read_metrics(res.metrics_path)
                       if r["split"] == "train"]
         assert float(train_rows[-1]["loss_total"]) < float(train_rows[0]["loss_total"])
+
+    def test_finished_epochs_survive_a_crash(self, run, dataset, tmp_path, monkeypatch):
+        cfg, res = run
+        train_module = importlib.import_module("gazemoe.train")
+        evaluate_split = train_module.evaluate_split
+        calls = []
+
+        def crash_on_epoch_2_train_pass(*args, **kwargs):
+            calls.append(None)
+            # passes run train, test per epoch from epoch 0; the fifth is epoch 2's train
+            if len(calls) == 5:
+                raise NumericsError("injected")
+            return evaluate_split(*args, **kwargs)
+
+        monkeypatch.setattr(train_module, "evaluate_split", crash_on_epoch_2_train_pass)
+        with pytest.raises(NumericsError, match="injected"):
+            train(cfg, dataset, str(tmp_path))
+        with open(os.path.join(tmp_path, "metrics.csv"), "rb") as fh:
+            crashed = fh.read().splitlines(keepends=True)
+        with open(res.metrics_path, "rb") as fh:
+            full = fh.read().splitlines(keepends=True)
+        # header plus the epoch-0 and epoch-1 rows, byte for byte as a full run writes them
+        assert crashed == full[:5]
+        assert [r[:2] for r in csv.reader(line.decode() for line in crashed[1:])] == [
+            ["0", "train"], ["0", "test"], ["1", "train"], ["1", "test"]]
 
 
 class TestReproducibility:
