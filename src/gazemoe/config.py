@@ -9,6 +9,7 @@ are exact: ``config_from_text(config_to_text(cfg)) == cfg``.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -38,6 +39,11 @@ class AugmentConfig:
     enabled: bool = True
 
     def validate(self) -> None:
+        if len(self.brightness_contrast_range) != 2:
+            raise ConfigError(
+                "brightness_contrast_range needs exactly 2 entries (lo,hi), "
+                f"got {len(self.brightness_contrast_range)}"
+            )
         lo, hi = self.brightness_contrast_range
         if lo > hi:
             raise ConfigError(f"brightness_contrast_range lo {lo} > hi {hi}")
@@ -222,6 +228,13 @@ def _value_to_str(name: str, value) -> str:
     return str(value)
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{value} is not a finite number")
+    return value
+
+
 def _value_from_str(name: str, text: str, default):
     text = text.strip()
     try:
@@ -236,7 +249,7 @@ def _value_from_str(name: str, text: str, default):
         if name in _INT_TUPLES:
             return tuple(int(v) for v in text.split(",")) if text else ()
         if name in _FLOAT_TUPLES:
-            return tuple(float(v) for v in text.split(",")) if text else ()
+            return tuple(_finite_float(v) for v in text.split(",")) if text else ()
         if isinstance(default, bool):
             if text.lower() in ("true", "1", "yes"):
                 return True
@@ -246,7 +259,7 @@ def _value_from_str(name: str, text: str, default):
         if isinstance(default, int):
             return int(text)
         if isinstance(default, float):
-            return float(text)
+            return _finite_float(text)
         return text
     except ValueError as exc:
         raise ConfigError(f"cannot parse {name}={text!r}: {exc}") from exc

@@ -1,6 +1,6 @@
-"""The classifier: conv stem, residual stages with hybrid MoE blocks
-swapped in at configured positions, a gaze encoder feeding those blocks,
-and a linear classification head.
+"""The classifier: conv stem, one flat list of residual blocks with hybrid
+MoE blocks swapped in at configured (stage, block) positions, a gaze
+encoder feeding those blocks, and a linear classification head.
 
 The gaze feature is computed once per forward and adapted to each hybrid
 block through a learned linear projection. A config with no hybrid
@@ -47,13 +47,6 @@ class GazeEncoder(Module):
         return self.proj(T.global_avg_pool(x))
 
 
-class Stage(Module):
-    """One backbone stage: a sequence of residual or hybrid blocks."""
-
-    def __init__(self, blocks: list):
-        self.blocks = blocks
-
-
 class HybridMoeNet(Module):
     """Gaze-conditioned residual classifier with routed expert blocks."""
 
@@ -66,14 +59,13 @@ class HybridMoeNet(Module):
 
         self.stem = Conv2d(config.in_channels, config.stem_channels, 3, rng,
                            stride=config.stem_stride, pad=1, dtype=dtype)
-        stages = []
+        blocks = []
         gaze_projs = []
         in_ch = config.stem_channels
         block_id = 0
         for s, (out_ch, n_blocks, stage_stride) in enumerate(
             zip(config.stage_channels, config.blocks_per_stage, config.stage_strides)
         ):
-            blocks = []
             for b in range(n_blocks):
                 stride = stage_stride if b == 0 else 1
                 if (s, b) in hybrid_at:
@@ -90,8 +82,7 @@ class HybridMoeNet(Module):
                     blocks.append(ResidualBasicBlock(in_ch, out_ch, rng,
                                                      stride=stride, dtype=dtype))
                 in_ch = out_ch
-            stages.append(Stage(blocks))
-        self.stages = stages
+        self.blocks = blocks
         self.gaze_encoder = GazeEncoder(1, config.gaze_encoder_channels,
                                         config.gaze_feature_width, rng, dtype)
         self.gaze_projs = gaze_projs
@@ -100,26 +91,20 @@ class HybridMoeNet(Module):
     # -- structure helpers ------------------------------------------------
 
     def hybrid_blocks(self) -> list[HybridMoeBlock]:
-        return [blk for stage in self.stages for blk in stage.blocks
-                if isinstance(blk, HybridMoeBlock)]
+        return [blk for blk in self.blocks if isinstance(blk, HybridMoeBlock)]
 
     @property
     def is_baseline(self) -> bool:
         return not self.hybrid_blocks()
 
-    def reset_expert_counters(self) -> None:
-        for blk in self.hybrid_blocks():
-            blk.reset_eval_counts()
-
-    def expert_evals(self) -> int:
-        return sum(blk.expert_eval_count() for blk in self.hybrid_blocks())
-
     def count_expert_evals(self, image: Tensor, heatmap: Tensor | None) -> int:
         """Expert-block evaluations in one forward over this batch."""
-        self.reset_expert_counters()
+        banks = [br.experts for blk in self.hybrid_blocks() for br in (blk.dd, blk.de)]
+        for bank in banks:
+            bank.eval_count = 0
         with T.no_grad():
             self(image, heatmap)
-        return self.expert_evals()
+        return sum(bank.eval_count for bank in banks)
 
     # -- forward ------------------------------------------------------------
 
@@ -141,16 +126,13 @@ class HybridMoeNet(Module):
 
         x = T.relu(self.stem(image))
         records: list[RoutingRecord] = []
-        hybrid_index = 0
-        for stage in self.stages:
-            for blk in stage.blocks:
-                if isinstance(blk, HybridMoeBlock):
-                    proj = self.gaze_projs[hybrid_index]
-                    hybrid_index += 1
-                    x, (rec_dd, rec_de) = blk(x, proj(x_exp))
-                    records.extend((rec_dd, rec_de))
-                else:
-                    x = blk(x)
+        projs = iter(self.gaze_projs)
+        for blk in self.blocks:
+            if isinstance(blk, HybridMoeBlock):
+                x, branch_records = blk(x, next(projs)(x_exp))
+                records.extend(branch_records)
+            else:
+                x = blk(x)
         logits = self.head(T.global_avg_pool(x))
         return logits, records
 

@@ -31,16 +31,14 @@ class RoutingRecord:
     """One branch's routing outcome for a whole batch.
 
     ``raw_scores`` stays graph-connected so the balance loss can
-    differentiate through the full softmax; ``weights`` is a detached
-    copy for inspection and export. ``gate_p`` is filled by the owning
-    block once the fusion gate has run.
+    differentiate through the full softmax. ``gate_p`` is filled by the
+    owning block once the fusion gate has run.
     """
 
     block_id: int
     branch: str  # "DD" | "DE"
     raw_scores: Tensor  # [B, N]
     indices: np.ndarray  # [B, k], descending score order
-    weights: np.ndarray  # [B, k]
     gate_p: np.ndarray = field(default=None)  # [B]
 
     @property
@@ -54,18 +52,6 @@ class RoutingRecord:
     @property
     def num_experts(self) -> int:
         return self.raw_scores.shape[1]
-
-
-class Router(Module):
-    """Scores all experts from a routing feature via a small MLP."""
-
-    def __init__(self, feature_width: int, num_experts: int, rng: np.random.Generator,
-                 dtype=np.float64):
-        self.num_experts = num_experts
-        self.mlp = router_mlp(feature_width, num_experts, rng, dtype)
-
-    def __call__(self, feature: Tensor) -> Tensor:
-        return self.mlp(feature)
 
 
 class ExpertBank(Module):
@@ -88,14 +74,14 @@ class ExpertBank(Module):
         self.eval_count += x.shape[0]
         return self.experts[index](x)
 
-    def reset_eval_count(self) -> None:
-        self.eval_count = 0
-
 
 class MoeBranch(Module):
-    """One routed expert mixture: router + bank + sparsity level k."""
+    """One routed expert mixture: router + bank + sparsity level k.
 
-    def __init__(self, router: Router, experts: ExpertBank, top_k: int):
+    ``router`` is any callable from a routing feature [B, d] to raw scores [B, N].
+    """
+
+    def __init__(self, router, experts: ExpertBank, top_k: int):
         n = experts.num_experts
         if not 1 <= top_k <= n:
             raise ConfigError(f"top_k must be in [1, {n}], got {top_k}")
@@ -133,14 +119,7 @@ class MoeBranch(Module):
             weighted = h_i * T.take_rows(flat, rows * k + slots)
             scattered = T.put_rows(weighted, rows, num_rows=batch)
             out = scattered if out is None else out + scattered
-        record = RoutingRecord(
-            block_id=block_id,
-            branch=branch,
-            raw_scores=raw,
-            indices=indices,
-            weights=weights.data.copy(),
-        )
-        return out, record
+        return out, RoutingRecord(block_id, branch, raw, indices)
 
 
 class FusionGate(Module):
@@ -168,12 +147,12 @@ class HybridMoeBlock(Module):
                  stride: int = 1, block_id: int = 0, dtype=np.float64):
         self.block_id = block_id
         self.dd = MoeBranch(
-            Router(in_channels, num_experts, rng, dtype),
+            router_mlp(in_channels, num_experts, rng, dtype),
             ExpertBank(num_experts, in_channels, out_channels, rng, stride, dtype),
             top_k,
         )
         self.de = MoeBranch(
-            Router(gaze_width, num_experts, rng, dtype),
+            router_mlp(gaze_width, num_experts, rng, dtype),
             ExpertBank(num_experts, in_channels, out_channels, rng, stride, dtype),
             top_k,
         )
@@ -196,15 +175,8 @@ class HybridMoeBlock(Module):
         x_hat = pb * h_de + (1.0 - pb) * h_dd
         return x_hat, (rec_dd, rec_de)
 
-    def expert_eval_count(self) -> int:
-        return self.dd.experts.eval_count + self.de.experts.eval_count
 
-    def reset_eval_counts(self) -> None:
-        self.dd.experts.reset_eval_count()
-        self.de.experts.reset_eval_count()
-
-
-def batch_routing_stats(record: RoutingRecord, num_experts: int) -> tuple[np.ndarray, Tensor]:
+def batch_routing_stats(record: RoutingRecord) -> tuple[np.ndarray, Tensor]:
     """Per-expert usage frequency f and mean routing probability p_bar.
 
     f_i counts top-1 assignments (a detached constant); p_bar_i is the
@@ -213,11 +185,7 @@ def batch_routing_stats(record: RoutingRecord, num_experts: int) -> tuple[np.nda
     """
     if record.batch_size == 0:
         raise ContractError("routing stats need a nonempty batch")
-    if record.num_experts != num_experts:
-        raise ContractError(
-            f"record has {record.num_experts} experts, expected {num_experts}"
-        )
-    f = np.bincount(record.top1, minlength=num_experts) / record.batch_size
+    f = np.bincount(record.top1, minlength=record.num_experts) / record.batch_size
     p_bar = T.softmax(record.raw_scores, axis=1).mean(axis=0)
     return f, p_bar
 

@@ -132,12 +132,14 @@ def load_into(params: Mapping[str, Tensor] | Iterable[tuple[str, Tensor]],
     items = params.items() if isinstance(params, Mapping) else params
     items = list(items)
     names = {name for name, _ in items}
-    missing = names - set(arrays)
-    extra = set(arrays) - names
+    # missing keeps model parameter order, extra keeps manifest line order
+    missing = [name for name, _ in items if name not in arrays]
+    extra = [name for name in arrays if name not in names]
     if missing or extra:
         raise FormatError(
-            f"checkpoint/model parameter mismatch: missing {sorted(missing)}, "
-            f"unexpected {sorted(extra)}"
+            f"checkpoint/model parameter mismatch: {len(missing)} missing "
+            f"(first {missing[0] if missing else None!r}), {len(extra)} unexpected "
+            f"(first {extra[0] if extra else None!r})"
         )
     for name, p in items:
         arr = arrays[name]

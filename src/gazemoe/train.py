@@ -85,10 +85,7 @@ def _forward_losses(model: HybridMoeNet, images, heatmaps, labels, lb_weight):
     """One forward pass: logits, routing records, and the combined loss."""
     logits, records = model(images, None if model.is_baseline else heatmaps)
     cls = cross_entropy(logits, labels)
-    lb_terms = [
-        load_balance_loss(*batch_routing_stats(rec, rec.num_experts))
-        for rec in records
-    ]
+    lb_terms = [load_balance_loss(*batch_routing_stats(rec)) for rec in records]
     total, breakdown = total_loss(cls, lb_terms, lb_weight)
     return logits, records, total, breakdown
 
@@ -368,11 +365,10 @@ def collect_routing(model: HybridMoeNet, rows, cache, batch_size
             for rec in records:
                 store = parts.setdefault(
                     (rec.block_id, rec.branch),
-                    {"raw": [], "idx": [], "w": [], "gate": []},
+                    {"raw": [], "idx": [], "gate": []},
                 )
                 store["raw"].append(rec.raw_scores.data)
                 store["idx"].append(rec.indices)
-                store["w"].append(rec.weights)
                 store["gate"].append(rec.gate_p)
     stitched = [
         RoutingRecord(
@@ -380,7 +376,6 @@ def collect_routing(model: HybridMoeNet, rows, cache, batch_size
             branch=branch,
             raw_scores=Tensor(np.concatenate(store["raw"])),
             indices=np.concatenate(store["idx"]),
-            weights=np.concatenate(store["w"]),
             gate_p=np.concatenate(store["gate"]),
         )
         for (block_id, branch), store in parts.items()

@@ -85,6 +85,32 @@ def softmax_oracle(row):
     return [e / s for e in exps]
 
 
+def composite_grad_oracle(theta, w):
+    """Closed-form gradients ``(dtheta, dw)`` of
+    ``mean(log_softmax(L) * sigmoid(L))`` with ``L = theta @ w``, softmax
+    over each row of ``L``.
+
+    With a = log_softmax(L), p = exp(a) and s = sigmoid(L), an m×n ``L``
+    has dF/dL[i,j] = (s[i,j] - p[i,j]·Σ_t s[i,t] + a[i,j]·s[i,j]·(1 - s[i,j])) / (m·n).
+    """
+    theta = np.asarray(theta, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
+    logits = matmul_oracle(theta, w)
+    m, n = logits.shape
+    g = np.zeros((m, n))
+    for i in range(m):
+        row = [float(v) for v in logits[i]]
+        top = max(row)
+        lse = top + math.log(sum(math.exp(v - top) for v in row))
+        sig = [1.0 / (1.0 + math.exp(-v)) for v in row]
+        sig_sum = sum(sig)
+        for j in range(n):
+            a = row[j] - lse
+            g[i, j] = (sig[j] - math.exp(a) * sig_sum
+                       + a * sig[j] * (1.0 - sig[j])) / (m * n)
+    return matmul_oracle(g, w.T), matmul_oracle(theta.T, g)
+
+
 def cross_entropy_oracle(logits, labels):
     """Mean negative log-softmax probability of the true class."""
     logits = np.asarray(logits, dtype=np.float64)

@@ -2,6 +2,8 @@
 2 internal), --set overrides, and printed summaries."""
 
 import os
+import re
+import shutil
 import subprocess
 import sys
 
@@ -142,6 +144,20 @@ class TestSynthGen:
                         "--set", "num_subjects"]) == 1
         assert "KEY=VALUE" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override, field", [
+        ("heatmap_sigma=nan", "heatmap_sigma"),
+        ("image_noise=nan", "image_noise"),
+        ("blob_intensities=nan,0.8,1.0", "blob_intensities"),
+        ("blob_radii=2.5,inf,6.0", "blob_radii"),
+    ])
+    def test_non_finite_value_exits_1(self, workspace, tmp_path, capsys,
+                                      override, field):
+        out = os.path.join(tmp_path, "data")
+        assert run_cli(["synth-gen", "--spec", workspace["spec"], "--out", out,
+                        "--set", override]) == 1
+        assert_one_line_error(capsys.readouterr().err, field, "not a finite number")
+        assert not os.path.exists(out)
+
     def test_blob_too_big_for_image_exits_1(self, workspace, capsys):
         out = os.path.join(workspace["root"], "data6")
         assert run_cli(["synth-gen", "--spec", workspace["spec"], "--out", out,
@@ -212,6 +228,28 @@ class TestTrain:
                         "--set", override]) == 1
         assert_one_line_error(capsys.readouterr().err, field, ">= 1")
 
+    @pytest.mark.parametrize("override, field, reason", [
+        ("lr=nan", "lr", "not a finite number"),
+        ("lr=inf", "lr", "not a finite number"),
+        ("lambda=nan", "lb_weight", "not a finite number"),
+        ("gamma=-inf", "gamma", "not a finite number"),
+        ("augment.noise_sigma=nan", "noise_sigma", "not a finite number"),
+        ("augment.brightness_contrast_range=0.8,nan", "brightness_contrast_range",
+         "not a finite number"),
+        ("augment.brightness_contrast_range=1", "brightness_contrast_range",
+         "exactly 2 entries"),
+        ("augment.brightness_contrast_range=0.8,1.0,1.2",
+         "brightness_contrast_range", "exactly 2 entries"),
+    ])
+    def test_non_finite_or_short_value_exits_1(self, workspace, tmp_path, capsys,
+                                               override, field, reason):
+        assert run_cli(["train", "--config", workspace["config"],
+                        "--manifest", workspace["manifest"],
+                        "--out", os.path.join(tmp_path, "x"),
+                        "--set", override]) == 1
+        assert_one_line_error(capsys.readouterr().err, field, reason)
+        assert not os.path.exists(os.path.join(tmp_path, "x"))
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergent_training_exits_2(self, workspace, tmp_path, capsys):
         assert run_cli(["train", "--config", workspace["config"],
@@ -234,6 +272,26 @@ class TestEval:
         assert run_cli(["eval", "--checkpoint", "/no/such/dir",
                         "--manifest", workspace["manifest"]]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_old_parameter_names_exit_1_with_short_message(self, workspace,
+                                                           tmp_path, capsys):
+        # checkpoints once nested blocks in stages and router MLPs in a wrapper
+        old = os.path.join(tmp_path, "old")
+        shutil.copytree(workspace["checkpoint"], old)
+        manifest = os.path.join(old, "manifest.txt")
+        with open(manifest) as fh:
+            text = fh.read()
+        text = re.sub(r"^blocks\.(\d+)\.", r"stages.\1.blocks.0.", text, flags=re.M)
+        with open(manifest, "w") as fh:
+            fh.write(text.replace(".router.", ".router.mlp."))
+        assert run_cli(["eval", "--checkpoint", old,
+                        "--manifest", workspace["manifest"]]) == 1
+        err = capsys.readouterr().err
+        assert_one_line_error(
+            err, "missing (first 'blocks.0.conv1.w')",
+            "unexpected (first 'stages.0.blocks.0.conv1.w')",
+        )
+        assert len(err) < 200
 
     def test_purity_lines_on_patterns_data(self, workspace, capsys):
         root = workspace["root"]

@@ -127,17 +127,27 @@ def test_block_layout_follows_config():
         stage_channels=(4, 8), blocks_per_stage=(2, 2),
         hybrid_positions=((0, 1), (1, 1)),
     ))
-    kinds = [[type(b) for b in stage.blocks] for stage in net.stages]
-    assert kinds == [
-        [ResidualBasicBlock, HybridMoeBlock],
-        [ResidualBasicBlock, HybridMoeBlock],
+    assert [type(b) for b in net.blocks] == [
+        ResidualBasicBlock, HybridMoeBlock, ResidualBasicBlock, HybridMoeBlock,
     ]
+    assert [b.conv1.stride for b in (net.blocks[0], net.blocks[2])] == [1, 2]
     assert [b.block_id for b in net.hybrid_blocks()] == [0, 1]
     img, hm = batch(b=3)
     logits, records = net(img, hm)
     assert logits.shape == (3, 3)
     assert [(r.block_id, r.branch) for r in records] == [
         (0, "DD"), (0, "DE"), (1, "DD"), (1, "DE"),
+    ]
+
+
+def test_parameter_names_are_flat_attribute_paths():
+    # these names are the checkpoint format: a wrapper layer would rename them
+    names = [name for name, _ in HybridMoeNet(toy_config()).named_parameters()]
+    assert "blocks.1.dd.router.layers.0.w" in names
+    assert "blocks.1.de.experts.experts.1.conv2.b" in names
+    assert not [n for n in names if "stages." in n or ".mlp." in n]
+    assert list(dict.fromkeys(n.split(".")[0] for n in names)) == [
+        "stem", "blocks", "gaze_encoder", "gaze_projs", "head",
     ]
 
 
