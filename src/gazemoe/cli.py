@@ -1,20 +1,26 @@
 """Command-line interface.
 
-Subcommands: synth-gen, train, eval, gradcheck, route-dump. Exit codes:
-0 on success, 1 for bad user input (missing files, malformed configs,
-bad CLI usage), 2 for internal failures (broken invariants, non-finite
-training, failed gradient checks).
+Subcommands: synth-gen, train, eval, gradcheck, route-dump, and
+experiment (one headline experiment from ``experiments.py`` over a seed
+range). Exit codes: 0 on success, 1 for bad user input (missing files,
+malformed configs, bad CLI usage), 2 for internal failures (broken
+invariants, non-finite training, failed gradient checks).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
+import re
 import sys
 import traceback
 
+import numpy as np
+
 from .config import SyntheticSpec, TrainConfig, load_config
 from .data import generate_synthetic
-from .errors import GazeMoeError, InputError
+from .errors import ConfigError, GazeMoeError, InputError
+from .experiments import EXPERIMENTS
 from .train import evaluate, route_dump, run_gradcheck, train
 
 USAGE_EXIT = 1
@@ -69,6 +75,14 @@ def build_parser() -> argparse.ArgumentParser:
     rd.add_argument("--manifest", required=True)
     rd.add_argument("--out", required=True, help="output CSV path")
 
+    ex = sub.add_parser("experiment",
+                        help="run a headline experiment over a range of seeds")
+    ex.add_argument("name", metavar="NAME", help=", ".join(EXPERIMENTS))
+    ex.add_argument("--seeds", required=True, metavar="A-B",
+                    help="model seeds A through B, inclusive")
+    ex.add_argument("--out", default="runs", metavar="DIR",
+                    help="work directory; each seed trains under OUT/NAME/seed<N>/")
+
     return parser
 
 
@@ -117,12 +131,42 @@ def _cmd_route_dump(args) -> int:
     return 0
 
 
+def _table_row(cells, widths) -> str:
+    """Right-aligned columns; numbers to 6 significant digits."""
+    return " ".join(f"{c:>{w}}" if isinstance(c, str) else f"{c:>{w}.6g}"
+                    for c, w in zip(cells, widths))
+
+
+def _cmd_experiment(args) -> int:
+    if args.name not in EXPERIMENTS:
+        raise ConfigError(f"unknown experiment {args.name!r}; choose from "
+                          f"{', '.join(EXPERIMENTS)}")
+    match = re.fullmatch(r"(\d+)-(\d+)", args.seeds)
+    if not match or int(match[1]) > int(match[2]):
+        raise ConfigError(f"--seeds expects A-B with 0 <= A <= B, got {args.seeds!r}")
+    spec, run = EXPERIMENTS[args.name]
+    root = os.path.join(args.out, args.name)
+    manifest = generate_synthetic(spec, os.path.join(root, "data")) if spec else None
+    rows = []
+    for seed in range(int(match[1]), int(match[2]) + 1):
+        result = run(seed, manifest, os.path.join(root, f"seed{seed}"))
+        if not rows:
+            widths = [max(12, len(c)) for c in ["seed", *result]]
+            print(_table_row(["seed", *result], widths))
+        rows.append(list(result.values()))
+        print(_table_row([str(seed), *rows[-1]], widths), flush=True)
+    for label, stat in (("median", np.median), ("min", np.min), ("max", np.max)):
+        print(_table_row([label, *stat(rows, axis=0)], widths))
+    return 0
+
+
 _COMMANDS = {
     "synth-gen": _cmd_synth_gen,
     "train": _cmd_train,
     "eval": _cmd_eval,
     "gradcheck": _cmd_gradcheck,
     "route-dump": _cmd_route_dump,
+    "experiment": _cmd_experiment,
 }
 
 

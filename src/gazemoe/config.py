@@ -74,6 +74,11 @@ class ModelConfig:
                      "gaze_feature_width"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.in_channels > 1:
+            raise ConfigError(
+                f"in_channels must be >= 1 and at most 1, since every input is "
+                f"a 1-channel PGM; got {self.in_channels}"
+            )
         for name in ("stage_channels", "blocks_per_stage", "stage_strides",
                      "gaze_encoder_channels"):
             if any(v < 1 for v in getattr(self, name)):

@@ -574,6 +574,10 @@ class GradCheckReport:
     worst_coord: int
     n_checked: int
     tol: float
+    # one-sided differences (f(x+eps)-f(x))/eps and (f(x)-f(x-eps))/eps at
+    # the worst coordinate; far apart means f has a kink there
+    forward_diff: float
+    backward_diff: float
 
     @property
     def passed(self) -> bool:
@@ -583,7 +587,9 @@ class GradCheckReport:
         status = "PASS" if self.passed else "FAIL"
         return (
             f"{status}: max rel err {self.max_rel_err:.3e} (tol {self.tol:.1e}) "
-            f"at {self.worst_param}[{self.worst_coord}] over {self.n_checked} coordinates"
+            f"at {self.worst_param}[{self.worst_coord}] over {self.n_checked} coordinates; "
+            f"one-sided diffs there {self.forward_diff:.4e} (forward), "
+            f"{self.backward_diff:.4e} (backward)"
         )
 
 
@@ -618,7 +624,7 @@ def finite_diff_check(
 
     if rng is None:
         rng = np.random.default_rng(0)
-    worst = (0.0, "", -1)
+    worst = (0.0, "", -1, 0.0, 0.0)
     n_checked = 0
     for name, p in params:
         flat = p.data.reshape(-1)
@@ -641,5 +647,6 @@ def finite_diff_check(
             rel = abs(ad - fd) / max(abs(ad), abs(fd), rel_floor)
             n_checked += 1
             if rel > worst[0]:
-                worst = (rel, name, int(c))
-    return GradCheckReport(worst[0], worst[1], worst[2], n_checked, tol)
+                worst = (rel, name, int(c), (fp - v1) / eps, (v1 - fm) / eps)
+    rel, name, coord, forward_diff, backward_diff = worst
+    return GradCheckReport(rel, name, coord, n_checked, tol, forward_diff, backward_diff)

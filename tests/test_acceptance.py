@@ -7,14 +7,14 @@ file formats, and metric oracles. Each test prints a single verdict
 line (visible despite pytest capture) and then asserts its bounds.
 
 Every experiment is fully seeded, so the numbers quoted in comments
-reproduce exactly on re-run. Gates 6 and 7 are calibrated training
-runs: the recipe constants below were selected by measurement and are
-frozen together with their seeds.
+reproduce exactly on re-run. Gates 1, 6 and 7 run the definitions in
+``gazemoe.experiments`` at their pinned model seeds; gates 6 and 7 are
+calibrated training runs, and the recipe constants there were selected
+by measurement and are frozen together with those seeds.
 """
 
-import csv
 import itertools
-import os
+import math
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -23,8 +23,9 @@ import numpy as np
 import pytest
 
 import oracles
+from gazemoe import experiments
 from gazemoe import tensor as T
-from gazemoe.config import AugmentConfig, ModelConfig, SyntheticSpec, TrainConfig
+from gazemoe.config import AugmentConfig, SyntheticSpec, TrainConfig
 from gazemoe.errors import MetricUndefinedError
 from gazemoe.data import (
     SampleManifest,
@@ -39,7 +40,7 @@ from gazemoe.model import build_model
 from gazemoe.moe import ExpertBank, HybridMoeBlock, MoeBranch
 from gazemoe.serialize import load_checkpoint, save_checkpoint
 from gazemoe.tensor import Tensor
-from gazemoe.train import evaluate, run_gradcheck, train
+from gazemoe.train import train
 
 pytestmark = pytest.mark.acceptance
 
@@ -49,48 +50,20 @@ def _verdict(capsys, number: int, ok: bool, detail: str) -> None:
         print(f"ACCEPTANCE {number}: {'PASS' if ok else 'FAIL'} — {detail}")
 
 
-# Shared toy architecture: 2 stages, one hybrid block in the second.
-def _toy_model(**overrides) -> ModelConfig:
-    base = dict(
-        stem_channels=4, stage_channels=(4, 8), blocks_per_stage=(1, 1),
-        stage_strides=(1, 2), hybrid_positions=((1, 0),), num_experts=2,
-        top_k=1, gaze_encoder_channels=(4, 8), gaze_feature_width=8,
-        num_classes=3, seed=3,
-    )
-    base.update(overrides)
-    return ModelConfig(**base)
-
-
-# Experiment-scale architecture used by the training gates.
-def _experiment_model(**overrides) -> ModelConfig:
-    base = dict(
-        stem_channels=8, stage_channels=(8, 16), blocks_per_stage=(1, 1),
-        stage_strides=(1, 2), hybrid_positions=((1, 0),), num_experts=4,
-        top_k=1, gaze_encoder_channels=(4, 8, 16), gaze_feature_width=16,
-        num_classes=3, seed=0,
-    )
-    base.update(overrides)
-    return ModelConfig(**base)
-
-
 # -- 1: gradient correctness ----------------------------------------------------
 
 
 def test_01_gradcheck_toy_net_both_sparsities(capsys):
     start = time.monotonic()
-    errs = {}
-    for k in (1, 2):
-        cfg = TrainConfig(model=_toy_model(top_k=k), lb_weight=0.01, seed=3)
-        report = run_gradcheck(cfg, batch_size=2, image_size=16,
-                               max_coords_per_param=3, tol=1e-4)
-        errs[k] = report
+    errs = experiments.gradcheck(3)
     elapsed = time.monotonic() - start
-    ok = errs[1].passed and errs[2].passed and elapsed < 120
+    passed = {k: errs[f"max_rel_err_k{k}"] <= 1e-4 for k in (1, 2)}
+    ok = passed[1] and passed[2] and elapsed < 120
     _verdict(capsys, 1, ok,
-             f"max rel err {errs[1].max_rel_err:.2e} (k=1), "
-             f"{errs[2].max_rel_err:.2e} (k=2), tol 1e-4, {elapsed:.0f}s")
-    assert errs[1].passed, errs[1]
-    assert errs[2].passed, errs[2]
+             f"max rel err {errs['max_rel_err_k1']:.2e} (k=1), "
+             f"{errs['max_rel_err_k2']:.2e} (k=2), tol 1e-4, {elapsed:.0f}s")
+    assert passed[1], errs
+    assert passed[2], errs
     assert elapsed < 120
 
 
@@ -226,7 +199,8 @@ def test_05_expert_eval_counter_exact(capsys):
     cases = 0
     for batch, n, nblocks in itertools.product((1, 3, 8), (2, 4), (1, 2, 3)):
         for k in sorted({1, 2, n}):
-            cfg = _toy_model(
+            cfg = replace(
+                experiments.TOY_MODEL,
                 num_experts=n, top_k=k,
                 blocks_per_stage=(1, nblocks),
                 hybrid_positions=tuple((1, j) for j in range(nblocks)),
@@ -246,50 +220,23 @@ def test_05_expert_eval_counter_exact(capsys):
 
 def test_06_synthetic_end_to_end_and_baseline_gap(capsys, tmp_path_factory):
     root = tmp_path_factory.mktemp("e2e")
-    aug = AugmentConfig(noise_sigma=0.03)
-
-    # Image-solvable task: blob (radius, intensity) defines the class.
-    spec = SyntheticSpec(
-        num_subjects=20, samples_per_subject=20, image_size=64, num_classes=3,
-        task="blob", blob_radii=(4.0, 7.0, 10.0),
-        blob_intensities=(0.6, 0.8, 1.0), gaze_fidelity=1.0,
-        heatmap_sigma=6.0, image_noise=0.05, seed=0,
-    )
-    manifest = generate_synthetic(spec, str(root / "blob"))
-    cfg = TrainConfig(model=_experiment_model(), lr=2e-3, step_size=12,
-                      gamma=0.3, epochs=30, batch_size=64, lb_weight=0.01,
-                      seed=0, fold=0, folds=5, augment=aug)
+    manifest = generate_synthetic(experiments.BLOB_SPEC, str(root / "blob"))
     start = time.monotonic()
-    result = train(cfg, manifest, str(root / "blob_run"))
+    blob = experiments.blob(0, manifest, str(root / "blob_run"))
     elapsed = time.monotonic() - start
-    with open(result.metrics_path) as fh:
-        rows = [r for r in csv.DictReader(fh)
-                if r["split"] == "test" and int(r["epoch"]) >= 1]
-    joint = [int(r["epoch"]) for r in rows
-             if float(r["acc"]) >= 90.0 and float(r["auc"]) >= 95.0]
+    joint = blob["epoch_90_95"]
 
-    # Gaze-dependent variant: label = blob-size bit × heatmap-peak bit, so
-    # an image-only model caps near 50% and the gaze pathway must close
-    # the rest of the gap.
-    spec_gaze = replace(spec, num_classes=4, task="gaze",
-                        blob_radii=(4.0, 8.0), blob_intensities=(0.6, 0.9))
-    manifest_gaze = generate_synthetic(spec_gaze, str(root / "gaze"))
-    cfg_gaze = TrainConfig(model=_experiment_model(num_classes=4), lr=1e-3,
-                           step_size=8, gamma=0.3, epochs=16, batch_size=64,
-                           lb_weight=0.01, seed=0, fold=0, folds=5, augment=aug)
-    hybrid = train(cfg_gaze, manifest_gaze, str(root / "gaze_hybrid"))
-    cfg_base = replace(cfg_gaze,
-                       model=replace(cfg_gaze.model, hybrid_positions=()))
-    baseline = train(cfg_base, manifest_gaze, str(root / "gaze_baseline"))
-    margin = hybrid.final_test.acc - baseline.final_test.acc
+    manifest_gaze = generate_synthetic(experiments.GAZE_SPEC, str(root / "gaze"))
+    gaze = experiments.gaze_ablation(0, manifest_gaze, str(root / "gaze_run"))
+    margin = gaze["margin"]
 
-    ok = bool(joint) and elapsed < 900 and margin >= 10.0
+    ok = math.isfinite(joint) and elapsed < 900 and margin >= 10.0
     _verdict(capsys, 6, ok,
              f"blob task reaches acc ≥ 90 / auc ≥ 95 at epoch "
-             f"{joint[0] if joint else '—'} of 30 ({elapsed:.0f}s); "
-             f"gaze-variant hybrid {hybrid.final_test.acc:.2f} vs baseline "
-             f"{baseline.final_test.acc:.2f} acc, margin {margin:.1f} ≥ 10")
-    assert joint, "no epoch reached acc 90 / auc 95 within 30"
+             f"{joint if math.isfinite(joint) else '—'} of 30 ({elapsed:.0f}s); "
+             f"gaze-variant hybrid {gaze['hybrid_acc']:.2f} vs baseline "
+             f"{gaze['baseline_acc']:.2f} acc, margin {margin:.1f} ≥ 10")
+    assert math.isfinite(joint), "no epoch reached acc 90 / auc 95 within 30"
     assert elapsed < 900
     assert margin >= 10.0
 
@@ -319,41 +266,22 @@ def test_07_trained_routing_specializes_untrained_collapses(capsys, tmp_path_fac
     balanced expert usage so the purity cannot come from collapse.
     """
     root = tmp_path_factory.mktemp("specialization")
-    spec = SyntheticSpec(
-        num_subjects=20, samples_per_subject=10, image_size=64, num_classes=4,
-        task="patterns", blob_radii=(4.0,), blob_intensities=(0.8,),
-        image_noise=0.1, seed=0,
-    )
-    manifest = generate_synthetic(spec, str(root / "patterns"))
-    model = _experiment_model(
-        num_classes=4, seed=28,
-        blocks_per_stage=(1, 2), hybrid_positions=((1, 0), (1, 1)),
-    )
-    cfg = TrainConfig(model=model, lr=2e-3, step_size=24, gamma=0.3,
-                      epochs=60, batch_size=64, lb_weight=0.01, seed=0,
-                      fold=0, folds=5, augment=AugmentConfig(enabled=False))
-
-    trained = train(cfg, manifest, str(root / "trained"))
-    ev = evaluate(trained.final_dir, manifest)
-    fresh = train(replace(cfg, epochs=0), manifest, str(root / "fresh"))
-    ev0 = evaluate(fresh.final_dir, manifest)
-
-    trained_pur = {b: ev.purity[(b, "DE")] for b in (0, 1)}
-    trained_top = {b: ev.report.expert_fracs[(b, "DE")].max() for b in (0, 1)}
-    fresh_pur = {b: ev0.purity[(b, "DE")] for b in (0, 1)}
-    fresh_top = {b: ev0.report.expert_fracs[(b, "DE")].max() for b in (0, 1)}
+    manifest = generate_synthetic(experiments.PATTERNS_SPEC, str(root / "patterns"))
+    res = experiments.specialization(28, manifest, str(root))
+    trained_pur = {b: res[f"trained_purity_b{b}"] for b in (0, 1)}
+    fresh_pur = {b: res[f"fresh_purity_b{b}"] for b in (0, 1)}
 
     trained_ok = all(trained_pur[b] >= 0.6 for b in (0, 1)) \
-        and all(trained_top[b] <= 0.5 for b in (0, 1))
+        and res["trained_max_usage"] <= 0.5
     untrained_ok = all(fresh_pur[b] <= 0.35 for b in (0, 1))
 
     _verdict(capsys, 7, trained_ok and untrained_ok,
              f"trained DE purity {trained_pur[0]:.3f}/{trained_pur[1]:.3f} "
-             f"(bar ≥ 0.6, max usage {max(trained_top.values()):.2f} ≤ 0.5) — "
+             f"(bar ≥ 0.6, max usage {res['trained_max_usage']:.2f} ≤ 0.5) — "
              f"untrained purity {fresh_pur[0]:.3f}/{fresh_pur[1]:.3f} vs "
              f"bound ≤ 0.35: fresh top-1 routing collapses onto one expert "
-             f"(max share {max(fresh_top.values()):.2f}), it is not uniform")
-    assert trained_ok, (trained_pur, trained_top)
+             f"(max share {res['fresh_max_usage']:.2f}), it is not uniform")
+    assert trained_ok, res
     if not untrained_ok:
         pytest.xfail(
             "untrained purity bound ≤ 0.35 is unattainable: argmax routing "
@@ -376,9 +304,9 @@ def test_08_determinism_and_round_trips(capsys, tmp_path_factory):
                          blob_intensities=(0.6, 0.8, 1.0), heatmap_sigma=3.0,
                          image_noise=0.05, seed=5)
     manifest = generate_synthetic(spec, str(root / "data"))
-    cfg = TrainConfig(model=_toy_model(seed=7), lr=3e-3, step_size=50,
-                      gamma=0.5, epochs=3, batch_size=12, lb_weight=0.01,
-                      seed=11, fold=0, folds=3,
+    cfg = TrainConfig(model=replace(experiments.TOY_MODEL, seed=7), lr=3e-3,
+                      step_size=50, gamma=0.5, epochs=3, batch_size=12,
+                      lb_weight=0.01, seed=11, fold=0, folds=3,
                       augment=AugmentConfig(noise_sigma=0.02))
     run_a = train(cfg, manifest, str(root / "run_a"))
     run_b = train(cfg, manifest, str(root / "run_b"))

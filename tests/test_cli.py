@@ -10,11 +10,12 @@ import sys
 import numpy as np
 import pytest
 
-from gazemoe import cli
+from gazemoe import cli, experiments
 from gazemoe.cli import main
-from gazemoe.config import TrainConfig, load_config
+from gazemoe.config import SyntheticSpec, TrainConfig, load_config
 from gazemoe.data import SampleManifest, load_manifest, write_manifest, write_pgm
 from gazemoe.errors import ConfigError
+from gazemoe.train import run_gradcheck
 
 SPEC_TEXT = """\
 num_subjects=6
@@ -217,6 +218,7 @@ class TestTrain:
         ("model.gaze_feature_width=0", "gaze_feature_width"),
         ("model.gaze_encoder_channels=0", "gaze_encoder_channels"),
         ("model.in_channels=0", "in_channels"),
+        ("model.in_channels=2", "in_channels"),
         ("model.blocks_per_stage=-1,1", "blocks_per_stage"),
         ("model.blocks_per_stage=0,1", "blocks_per_stage"),
     ])
@@ -346,6 +348,14 @@ class TestGradcheck:
         assert printed.startswith("PASS")
         assert "max rel err" in printed
 
+    def test_fail_exits_2_showing_one_sided_differences(self, workspace, capsys):
+        assert run_cli(["gradcheck", "--config", workspace["config"],
+                        "--coords", "2", "--tol", "0"]) == 2
+        printed = capsys.readouterr().out
+        assert printed.startswith("FAIL: max rel err")
+        assert re.search(r"one-sided diffs there \S+ \(forward\), \S+ \(backward\)",
+                         printed)
+
 
 class TestRouteDump:
     def test_writes_csv(self, workspace):
@@ -355,3 +365,48 @@ class TestRouteDump:
         with open(out) as fh:
             header = fh.readline().strip().split(",")
         assert header[:3] == ["sample_id", "block_id", "branch"]
+
+
+class TestExperiment:
+    def test_gradcheck_sweep_prints_seed_rows_and_summary(self, tmp_path, capsys):
+        assert run_cli(["experiment", "gradcheck", "--seeds", "3-4",
+                        "--out", str(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == \
+            ["seed", "3", "4", "median", "min", "max"]
+        assert lines[0].split()[1:] == ["max_rel_err_k1", "max_rel_err_k2"]
+        expected = [run_gradcheck(experiments.gradcheck_config(3, k)).max_rel_err
+                    for k in (1, 2)]
+        row3 = [float(v) for v in lines[1].split()[1:]]
+        assert row3 == pytest.approx(expected, rel=1e-5)
+
+    def test_dataset_made_once_and_each_seed_gets_its_directory(
+            self, monkeypatch, tmp_path, capsys):
+        spec = SyntheticSpec(num_subjects=2, samples_per_subject=3, image_size=16,
+                             num_classes=3, blob_radii=(2.0, 3.0, 4.0))
+        calls = []
+
+        def run(seed, manifest, out_dir):
+            calls.append((seed, manifest, out_dir))
+            return {"value": 10.0 * seed}
+
+        monkeypatch.setitem(cli.EXPERIMENTS, "tiny", (spec, run))
+        assert run_cli(["experiment", "tiny", "--seeds", "1-3",
+                        "--out", str(tmp_path)]) == 0
+        manifest = os.path.join(tmp_path, "tiny", "data", "manifest.csv")
+        assert len(load_manifest(manifest)) == 6
+        assert calls == [(s, manifest, os.path.join(tmp_path, "tiny", f"seed{s}"))
+                         for s in (1, 2, 3)]
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split() for line in lines[-3:]] == \
+            [["median", "20"], ["min", "10"], ["max", "30"]]
+
+    @pytest.mark.parametrize("argv, needle", [
+        (["gradcheck", "--seeds", "5-3"], "'5-3'"),
+        (["gradcheck", "--seeds", "x"], "'x'"),
+        (["frobnicate", "--seeds", "0-1"], "unknown experiment 'frobnicate'"),
+    ], ids=["reversed_range", "not_a_range", "unknown_name"])
+    def test_bad_name_or_seed_range_exits_1(self, tmp_path, capsys, argv, needle):
+        assert run_cli(["experiment", *argv, "--out", str(tmp_path)]) == 1
+        assert_one_line_error(capsys.readouterr().err, needle)
+        assert os.listdir(tmp_path) == []

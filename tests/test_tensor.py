@@ -449,6 +449,17 @@ def test_finite_diff_report_flags_wrong_gradient():
     assert "FAIL" in str(report)
 
 
+def test_finite_diff_report_shows_one_sided_differences_at_a_kink():
+    # relu has slope 1 right of 0 and 0 left of it: the central difference
+    # (0.5) matches neither side, and the report shows both
+    x = Tensor([0.0, 0.5, -0.3], requires_grad=True)
+    report = finite_diff_check(lambda: T.relu(x).sum(), [("x", x)])
+    assert (report.worst_param, report.worst_coord) == ("x", 0)
+    assert report.forward_diff == pytest.approx(1.0, abs=1e-9)
+    assert report.backward_diff == 0.0
+    assert "1.0000e+00 (forward), 0.0000e+00 (backward)" in str(report)
+
+
 def _fd_case(name):
     # str hash() is salted per process; crc32 gives each case the same data every run
     rng = np.random.default_rng(zlib.crc32(name.encode()))
