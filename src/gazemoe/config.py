@@ -113,6 +113,8 @@ class ModelConfig:
             raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
         if len(self.gaze_encoder_channels) < 1:
             raise ConfigError("gaze encoder needs at least one conv layer")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -143,6 +145,8 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.lb_weight < 0:
             raise ConfigError(f"lb_weight must be >= 0, got {self.lb_weight}")
         if self.folds < 2:
@@ -216,6 +220,8 @@ class SyntheticSpec:
             raise ConfigError(f"gaze_fidelity must be in [0,1], got {self.gaze_fidelity}")
         if self.image_noise < 0 or self.heatmap_sigma <= 0:
             raise ConfigError("image_noise must be >= 0 and heatmap_sigma > 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 # -- key=value codec -----------------------------------------------------

@@ -16,7 +16,7 @@ config that produced them. Round-trips are bit-exact.
 from __future__ import annotations
 
 import os
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -126,11 +126,10 @@ def load_checkpoint(ckpt_dir: str | os.PathLike) -> tuple[dict[str, np.ndarray],
     return arrays, config_text
 
 
-def load_into(params: Mapping[str, Tensor] | Iterable[tuple[str, Tensor]],
-              arrays: Mapping[str, np.ndarray]) -> None:
-    """Copy checkpoint arrays into live parameter tensors, in place."""
-    items = params.items() if isinstance(params, Mapping) else params
-    items = list(items)
+def load_into(params: Iterable[tuple[str, Tensor]],
+              arrays: dict[str, np.ndarray]) -> None:
+    """Copy checkpoint arrays into live (name, tensor) parameters, in place."""
+    items = list(params)
     names = {name for name, _ in items}
     # missing keeps model parameter order, extra keeps manifest line order
     missing = [name for name, _ in items if name not in arrays]

@@ -1,6 +1,10 @@
 """Training and evaluation loops: Adam + stepped LR, class-uniform
 batches, per-epoch CSV metrics, and best/final checkpoints.
 
+The per-epoch metrics, ``eval`` and ``route-dump`` share one
+gradient-free chunked pass over a split (``_forward_split``), which
+stitches each branch's routing into one record covering every row.
+
 Reproducibility contract: a fixed TrainConfig and manifest produce
 byte-identical metrics CSVs and checkpoints. All randomness flows from
 ``config.seed`` through three independent child streams (fold shuffle,
@@ -90,34 +94,25 @@ def _forward_losses(model: HybridMoeNet, images, heatmaps, labels, lb_weight):
     return logits, records, total, breakdown
 
 
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+def _fold_rows(manifests: list[SampleManifest], config: TrainConfig, fold: int
+               ) -> tuple[list[SampleManifest], list[SampleManifest]]:
+    """(train rows, test rows) of one subject-wise fold of ``config``'s split."""
+    if not 0 <= fold < config.folds:
+        raise ConfigError(f"fold {fold} outside [0, {config.folds})")
+    by_id = {m.sample_id: m for m in manifests}
+    train_ids, test_ids = subject_kfold(manifests, config.folds, config.seed)[fold]
+    return [by_id[i] for i in train_ids], [by_id[i] for i in test_ids]
 
 
 # -- split evaluation --------------------------------------------------------
 
 
-@dataclass
-class SplitReport:
-    """Aggregate metrics over one split, in manifest order."""
+def _forward_split(model: HybridMoeNet, rows, cache, batch_size, lb_weight):
+    """Forward a split in chunks, without gradients or augmentation.
 
-    loss_cls: float
-    loss_lb: float
-    loss_total: float
-    acc: float
-    auc: float
-    # (block_id, branch) -> per-expert top-1 fraction over the whole split
-    expert_fracs: dict = field(default_factory=dict)
-    # (block_id, branch) -> per-sample top-1 expert over the whole split
-    top1: dict = field(default_factory=dict)
-    sample_ids: list = field(default_factory=list)
-
-
-def evaluate_split(model: HybridMoeNet, rows, cache, batch_size,
-                   lb_weight) -> SplitReport:
-    """Metrics over a split without updates or augmentation.
+    Returns logits and labels in row order, the mean cross-entropy and
+    balance term, and one RoutingRecord per (block_id, branch) stitched
+    from the chunks to cover every row.
 
     Cross-entropy is averaged per sample; the balance term is a
     batch-level quantity, so it is averaged over chunks weighted by
@@ -129,9 +124,7 @@ def evaluate_split(model: HybridMoeNet, rows, cache, batch_size,
     lb_sum = 0.0
     logits_all = []
     labels_all = []
-    counts: dict = {}
-    top1: dict = {}
-    sample_ids = []
+    parts: dict = {}  # (block_id, branch) -> that branch's per-chunk records
     with T.no_grad():
         for chunk in _chunks(rows, batch_size):
             images, heatmaps, labels = _assemble(chunk, cache, model.dtype)
@@ -142,26 +135,61 @@ def evaluate_split(model: HybridMoeNet, rows, cache, batch_size,
             lb_sum += breakdown.lb * len(chunk)
             logits_all.append(logits.data)
             labels_all.append(labels)
-            sample_ids += [m.sample_id for m in chunk]
             for rec in records:
-                key = (rec.block_id, rec.branch)
-                counts.setdefault(key, np.zeros(rec.num_experts))
-                counts[key] += np.bincount(rec.top1, minlength=rec.num_experts)
-                top1.setdefault(key, []).append(rec.top1)
+                parts.setdefault((rec.block_id, rec.branch), []).append(rec)
+    stitched = [
+        RoutingRecord(block_id, branch,
+                      Tensor(np.concatenate([r.raw_scores.data for r in recs])),
+                      np.concatenate([r.indices for r in recs]),
+                      np.concatenate([r.gate_p for r in recs]))
+        for (block_id, branch), recs in parts.items()
+    ]
     n = len(rows)
-    logits_cat = np.concatenate(logits_all)
-    labels_cat = np.concatenate(labels_all)
-    cls = cls_sum / n
-    lb = lb_sum / n
+    return (np.concatenate(logits_all), np.concatenate(labels_all),
+            cls_sum / n, lb_sum / n, stitched)
+
+
+@dataclass
+class SplitReport:
+    """Aggregate metrics over one split, in manifest order."""
+
+    loss_cls: float
+    loss_lb: float
+    loss_total: float
+    acc: float
+    auc: float
+    # one stitched RoutingRecord per (block_id, branch), block by block, DD first
+    records: list = field(default_factory=list)
+    sample_ids: list = field(default_factory=list)
+
+    @property
+    def top1(self) -> dict:
+        """(block_id, branch) -> per-sample top-1 expert over the split."""
+        return {(r.block_id, r.branch): r.top1 for r in self.records}
+
+    @property
+    def expert_fracs(self) -> dict:
+        """(block_id, branch) -> per-expert top-1 fraction over the split."""
+        return {
+            (r.block_id, r.branch):
+                np.bincount(r.top1, minlength=r.num_experts) / r.batch_size
+            for r in self.records
+        }
+
+
+def evaluate_split(model: HybridMoeNet, rows, cache, batch_size,
+                   lb_weight) -> SplitReport:
+    """Metrics over a split from one ``_forward_split`` pass."""
+    logits, labels, cls, lb, records = _forward_split(model, rows, cache,
+                                                      batch_size, lb_weight)
     return SplitReport(
         loss_cls=cls,
         loss_lb=lb,
         loss_total=cls + lb_weight * lb,
-        acc=accuracy(logits_cat, labels_cat),
-        auc=macro_auc(_softmax_rows(logits_cat), labels_cat),
-        expert_fracs={k: v / n for k, v in counts.items()},
-        top1={k: np.concatenate(v) for k, v in top1.items()},
-        sample_ids=sample_ids,
+        acc=accuracy(logits, labels),
+        auc=macro_auc(T.softmax(Tensor(logits), axis=1).data, labels),
+        records=records,
+        sample_ids=[m.sample_id for m in rows],
     )
 
 
@@ -190,8 +218,9 @@ def _metrics_row(model, epoch, split, report: SplitReport) -> list[str]:
         for v in (report.loss_cls, report.loss_lb, report.loss_total,
                   report.acc, report.auc)
     ]
+    fracs = report.expert_fracs
     for key in _frac_keys(model):
-        row += [repr(float(v)) for v in report.expert_fracs[key]]
+        row += [repr(float(v)) for v in fracs[key]]
     return row
 
 
@@ -216,11 +245,7 @@ def train(config: TrainConfig, manifest_path, out_dir) -> TrainResult:
     os.makedirs(out_dir, exist_ok=True)
 
     manifests = load_manifest(manifest_path, config.model.num_classes)
-    folds = subject_kfold(manifests, config.folds, config.seed)
-    train_ids, test_ids = folds[config.fold]
-    by_id = {m.sample_id: m for m in manifests}
-    train_rows = [by_id[i] for i in train_ids]
-    test_rows = [by_id[i] for i in test_ids]
+    train_rows, test_rows = _fold_rows(manifests, config, config.fold)
     cache = _load_pixels(manifests)
 
     model = build_model(config.model, config.precision)
@@ -319,14 +344,7 @@ def evaluate(checkpoint_dir, manifest_path, fold: int | None = None) -> EvalResu
     manifest."""
     model, config = load_model(checkpoint_dir)
     manifests = load_manifest(manifest_path, config.model.num_classes)
-    if fold is not None:
-        if not 0 <= fold < config.folds:
-            raise ConfigError(f"fold {fold} outside [0, {config.folds})")
-        _, test_ids = subject_kfold(manifests, config.folds, config.seed)[fold]
-        by_id = {m.sample_id: m for m in manifests}
-        rows = [by_id[i] for i in test_ids]
-    else:
-        rows = manifests
+    rows = manifests if fold is None else _fold_rows(manifests, config, fold)[1]
     cache = _load_pixels(rows)
     report = evaluate_split(model, rows, cache, config.batch_size,
                             config.lb_weight)
@@ -347,40 +365,6 @@ def evaluate(checkpoint_dir, manifest_path, fold: int | None = None) -> EvalResu
             purity[key] = routing_purity(top1, group_labels,
                                          model.config.num_experts)
     return EvalResult(report=report, purity=purity)
-
-
-def collect_routing(model: HybridMoeNet, rows, cache, batch_size
-                    ) -> tuple[list[RoutingRecord], list[str]]:
-    """Forward a whole manifest in chunks and stitch per-branch routing
-    records back together so each covers every sample once."""
-    if model.is_baseline:
-        raise ContractError("baseline model has no routing to dump")
-    parts: dict = {}
-    sample_ids: list[str] = []
-    with T.no_grad():
-        for chunk in _chunks(rows, batch_size):
-            images, heatmaps, labels = _assemble(chunk, cache, model.dtype)
-            _, records = model(images, heatmaps)
-            sample_ids += [m.sample_id for m in chunk]
-            for rec in records:
-                store = parts.setdefault(
-                    (rec.block_id, rec.branch),
-                    {"raw": [], "idx": [], "gate": []},
-                )
-                store["raw"].append(rec.raw_scores.data)
-                store["idx"].append(rec.indices)
-                store["gate"].append(rec.gate_p)
-    stitched = [
-        RoutingRecord(
-            block_id=block_id,
-            branch=branch,
-            raw_scores=Tensor(np.concatenate(store["raw"])),
-            indices=np.concatenate(store["idx"]),
-            gate_p=np.concatenate(store["gate"]),
-        )
-        for (block_id, branch), store in parts.items()
-    ]
-    return stitched, sample_ids
 
 
 def run_gradcheck(config: TrainConfig, batch_size: int = 2, image_size: int = 16,
@@ -414,9 +398,10 @@ def run_gradcheck(config: TrainConfig, batch_size: int = 2, image_size: int = 16
 def route_dump(checkpoint_dir, manifest_path, out_path) -> str:
     """Write per-sample routing scores for every hybrid branch to CSV."""
     model, config = load_model(checkpoint_dir)
+    if model.is_baseline:
+        raise ConfigError("baseline model has no routing to dump")
     manifests = load_manifest(manifest_path, config.model.num_classes)
-    cache = _load_pixels(manifests)
-    records, sample_ids = collect_routing(model, manifests, cache,
-                                          config.batch_size)
-    write_routing_csv(out_path, records, sample_ids)
+    *_, records = _forward_split(model, manifests, _load_pixels(manifests),
+                                 config.batch_size, config.lb_weight)
+    write_routing_csv(out_path, records, [m.sample_id for m in manifests])
     return out_path

@@ -1,6 +1,7 @@
 """CLI tests: subcommand wiring, exit codes (0 success / 1 input error /
 2 internal), --set overrides, and printed summaries."""
 
+import ast
 import os
 import re
 import shutil
@@ -12,10 +13,12 @@ import pytest
 
 from gazemoe import cli, experiments
 from gazemoe.cli import main
-from gazemoe.config import SyntheticSpec, TrainConfig, load_config
+from gazemoe.config import SyntheticSpec, TrainConfig, config_from_text, load_config
 from gazemoe.data import SampleManifest, load_manifest, write_manifest, write_pgm
 from gazemoe.errors import ConfigError
 from gazemoe.train import run_gradcheck
+
+REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 
 SPEC_TEXT = """\
 num_subjects=6
@@ -145,18 +148,23 @@ class TestSynthGen:
                         "--set", "num_subjects"]) == 1
         assert "KEY=VALUE" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("override, field", [
-        ("heatmap_sigma=nan", "heatmap_sigma"),
-        ("image_noise=nan", "image_noise"),
-        ("blob_intensities=nan,0.8,1.0", "blob_intensities"),
-        ("blob_radii=2.5,inf,6.0", "blob_radii"),
+    # ids name the override and field only, so they stay short
+    @pytest.mark.parametrize("override, field, reason", [
+        pytest.param(override, field, reason, id=f"{override}-{field}")
+        for override, field, reason in [
+            ("heatmap_sigma=nan", "heatmap_sigma", "not a finite number"),
+            ("image_noise=nan", "image_noise", "not a finite number"),
+            ("blob_intensities=nan,0.8,1.0", "blob_intensities", "not a finite number"),
+            ("blob_radii=2.5,inf,6.0", "blob_radii", "not a finite number"),
+            ("seed=-1", "seed", ">= 0"),
+        ]
     ])
     def test_non_finite_value_exits_1(self, workspace, tmp_path, capsys,
-                                      override, field):
+                                      override, field, reason):
         out = os.path.join(tmp_path, "data")
         assert run_cli(["synth-gen", "--spec", workspace["spec"], "--out", out,
                         "--set", override]) == 1
-        assert_one_line_error(capsys.readouterr().err, field, "not a finite number")
+        assert_one_line_error(capsys.readouterr().err, field, reason)
         assert not os.path.exists(out)
 
     def test_blob_too_big_for_image_exits_1(self, workspace, capsys):
@@ -179,6 +187,37 @@ class TestLoadConfig:
     def test_override_without_equals_rejected(self, workspace):
         with pytest.raises(ConfigError, match="KEY=VALUE"):
             load_config(workspace["config"], TrainConfig, ["epochs"])
+
+
+class TestReadmeQuickstart:
+    """The README quickstart is the CLI contract; its config files must load."""
+
+    @staticmethod
+    def heredocs():
+        with open(os.path.join(REPO, "README.md")) as fh:
+            text = fh.read()
+        return dict(re.findall(r"cat > (\S+) <<'EOF'\n(.*?)^EOF$", text,
+                               re.DOTALL | re.MULTILINE))
+
+    def test_spec_and_train_configs_load(self, tmp_path):
+        docs = self.heredocs()
+        for name, cls in (("spec.cfg", SyntheticSpec), ("train.cfg", TrainConfig)):
+            path = os.path.join(tmp_path, name)
+            with open(path, "w") as fh:
+                fh.write(docs[name])
+            assert isinstance(load_config(path, cls), cls)
+
+    def test_benchmark_recipe_copies_the_readme(self, tmp_path):
+        # read the constant from source so nothing is written under perfbench/
+        with open(os.path.join(REPO, "perfbench", "workloads.py")) as fh:
+            tree = ast.parse(fh.read())
+        recipe = next(ast.literal_eval(node.value) for node in tree.body
+                      if isinstance(node, ast.Assign)
+                      and node.targets[0].id == "README_TRAIN_CFG")
+        path = os.path.join(tmp_path, "train.cfg")
+        with open(path, "w") as fh:
+            fh.write(self.heredocs()["train.cfg"])
+        assert config_from_text(recipe + "epochs=30\n") == load_config(path)
 
 
 class TestTrain:
@@ -242,6 +281,8 @@ class TestTrain:
          "exactly 2 entries"),
         ("augment.brightness_contrast_range=0.8,1.0,1.2",
          "brightness_contrast_range", "exactly 2 entries"),
+        ("seed=-1", "seed", ">= 0"),
+        ("model.seed=-1", "seed", ">= 0"),
     ])
     def test_non_finite_or_short_value_exits_1(self, workspace, tmp_path, capsys,
                                                override, field, reason):
@@ -365,6 +406,29 @@ class TestRouteDump:
         with open(out) as fh:
             header = fh.readline().strip().split(",")
         assert header[:3] == ["sample_id", "block_id", "branch"]
+
+    def test_baseline_checkpoint_exits_1(self, workspace, tmp_path, capsys):
+        run_dir = os.path.join(tmp_path, "baseline")
+        assert run_cli(["train", "--config", workspace["config"],
+                        "--manifest", workspace["manifest"], "--out", run_dir,
+                        "--set", "epochs=0", "--set", "model.hybrid_positions="]) == 0
+        capsys.readouterr()
+        out = os.path.join(tmp_path, "routes.csv")
+        assert run_cli(["route-dump",
+                        "--checkpoint", os.path.join(run_dir, "checkpoint_final"),
+                        "--manifest", workspace["manifest"], "--out", out]) == 1
+        assert_one_line_error(capsys.readouterr().err,
+                              "baseline model has no routing to dump")
+        assert not os.path.exists(out)
+
+    def test_header_only_manifest_exits_1(self, workspace, tmp_path, capsys):
+        manifest = os.path.join(tmp_path, "empty.csv")
+        write_manifest(manifest, [])
+        out = os.path.join(tmp_path, "routes.csv")
+        assert run_cli(["route-dump", "--checkpoint", workspace["checkpoint"],
+                        "--manifest", manifest, "--out", out]) == 1
+        assert_one_line_error(capsys.readouterr().err, "empty split")
+        assert not os.path.exists(out)
 
 
 class TestExperiment:

@@ -125,7 +125,7 @@ def test_load_into_copies_values(tmp_path):
     serialize.save_checkpoint(tmp_path / "c", src, "")
     arrays, _ = serialize.load_checkpoint(tmp_path / "c")
     live = {"w": Tensor(np.zeros((2, 3)), requires_grad=True)}
-    serialize.load_into(live, arrays)
+    serialize.load_into(list(live.items()), arrays)
     np.testing.assert_array_equal(live["w"].data, src[0][1].data)
 
 
@@ -133,14 +133,14 @@ def test_load_into_rejects_name_mismatch(tmp_path):
     serialize.save_checkpoint(tmp_path / "c", [("w", Tensor(np.zeros(2)))], "")
     arrays, _ = serialize.load_checkpoint(tmp_path / "c")
     with pytest.raises(FormatError, match="mismatch"):
-        serialize.load_into({"other": Tensor(np.zeros(2))}, arrays)
+        serialize.load_into(list({"other": Tensor(np.zeros(2))}.items()), arrays)
 
 
 def test_load_into_rejects_shape_mismatch(tmp_path):
     serialize.save_checkpoint(tmp_path / "c", [("w", Tensor(np.zeros(2)))], "")
     arrays, _ = serialize.load_checkpoint(tmp_path / "c")
     with pytest.raises(FormatError, match="shape"):
-        serialize.load_into({"w": Tensor(np.zeros(3))}, arrays)
+        serialize.load_into(list({"w": Tensor(np.zeros(3))}.items()), arrays)
 
 
 def test_load_checkpoint_rejects_non_checkpoint_dir(tmp_path):

@@ -9,8 +9,9 @@ import os
 import numpy as np
 import pytest
 
+from gazemoe.cli import main
 from gazemoe.config import AugmentConfig, ModelConfig, SyntheticSpec, TrainConfig
-from gazemoe.data import generate_synthetic, load_manifest
+from gazemoe.data import generate_synthetic, load_manifest, write_manifest
 from gazemoe.errors import ConfigError, FormatError, NumericsError
 from gazemoe.metrics import usage_entropy
 from gazemoe.serialize import load_checkpoint
@@ -245,6 +246,47 @@ class TestRouteDump:
             scores = [float(r["raw_score_0"]), float(r["raw_score_1"])]
             assert np.isfinite(scores).all()
             assert int(r["top1_index"]) == int(np.argmax(scores))
+
+    def test_partial_last_chunk_matches_evaluate_report(self, dataset, tmp_path):
+        # 36 samples in chunks of 10 leave a partial last chunk of 6; three
+        # epochs spread the routing over several experts
+        cfg = make_config(epochs=3, batch_size=10, model_overrides=dict(
+            num_experts=4, top_k=2, hybrid_positions=((0, 0), (1, 0))))
+        res = train(cfg, dataset, str(tmp_path / "run"))
+        out = str(tmp_path / "routes.csv")
+        route_dump(res.final_dir, dataset, out)
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        report = evaluate(res.final_dir, dataset).report
+        n = len(report.sample_ids)
+        keys = list(dict.fromkeys((int(r["block_id"]), r["branch"]) for r in rows))
+        assert keys == [(0, "DD"), (0, "DE"), (1, "DD"), (1, "DE")]
+        assert list(report.top1) == keys
+        assert any(np.count_nonzero(f) > 1 for f in report.expert_fracs.values())
+        for key in keys:
+            top1 = np.array([int(r["top1_index"]) for r in rows
+                             if (int(r["block_id"]), r["branch"]) == key])
+            np.testing.assert_array_equal(top1, report.top1[key])
+            np.testing.assert_array_equal(np.bincount(top1, minlength=4) / n,
+                                          report.expert_fracs[key])
+
+    def test_single_label_manifest_dumps_but_does_not_evaluate(self, run, dataset,
+                                                               tmp_path, capsys):
+        _, res = run
+        one = [m for m in load_manifest(dataset, num_classes=3) if m.label == 1]
+        manifest = str(tmp_path / "one_label.csv")
+        write_manifest(manifest, one)
+        out = str(tmp_path / "routes.csv")
+        assert main(["route-dump", "--checkpoint", res.final_dir,
+                     "--manifest", manifest, "--out", out]) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        for branch in ("DD", "DE"):
+            assert [r["sample_id"] for r in rows if r["branch"] == branch] == [
+                m.sample_id for m in one]
+        assert main(["eval", "--checkpoint", res.final_dir,
+                     "--manifest", manifest]) == 1
+        assert "fewer than 2 distinct labels" in capsys.readouterr().err
 
 
 class TestTrainingGuards:
