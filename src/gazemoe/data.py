@@ -27,7 +27,6 @@ import numpy as np
 
 from .config import AugmentConfig, SyntheticSpec
 from .errors import ConfigError, FormatError, ParseError
-from .tensor import Tensor
 
 MANIFEST_HEADER = ["sample_id", "image_path", "heatmap_path", "label", "subject_id"]
 
@@ -165,10 +164,10 @@ def read_pgm(path) -> tuple[np.ndarray, int]:
     return data.astype(np.uint16 if maxval >= 256 else np.uint8), maxval
 
 
-def load_image(path) -> Tensor:
-    """PGM file -> Tensor[1,H,W] with values scaled to [0,1] by maxval."""
+def load_image(path) -> np.ndarray:
+    """PGM file -> float64 array [1,H,W] with values scaled to [0,1] by maxval."""
     data, maxval = read_pgm(path)
-    return Tensor((data.astype(np.float64) / maxval)[None, :, :])
+    return (data.astype(np.float64) / maxval)[None, :, :]
 
 
 # -- augmentation ------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Parameterized layers: linear, conv, residual basic block, small MLP.
 
 Weights use Kaiming-uniform initialization (bound sqrt(6/fan_in)) drawn
-from a caller-supplied generator; biases start at zero. Blocks follow the
-pre-activation-free ResNet basic-block shape without batch norm.
+in float64 from a caller-supplied generator; biases start at zero. Every
+layer is built in float64: the model that owns it decides its precision
+and casts its parameters once. Blocks follow the pre-activation-free
+ResNet basic-block shape without batch norm.
 """
 
 from __future__ import annotations
@@ -42,22 +44,20 @@ class Module:
         return sum(p.size for p in self.parameters())
 
 
-def kaiming_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int,
-                    dtype=np.float64) -> Tensor:
+def kaiming_uniform(rng: np.random.Generator, shape: tuple[int, ...],
+                    fan_in: int) -> Tensor:
     bound = math.sqrt(6.0 / fan_in)
-    data = rng.uniform(-bound, bound, size=shape).astype(dtype)
-    return Tensor(data, requires_grad=True)
+    return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
 
 
 class Linear(Module):
     """y = x Wᵀ + b with W: [out, in], b: [out]."""
 
-    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator,
-                 dtype=np.float64):
+    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator):
         self.in_features = in_features
         self.out_features = out_features
-        self.w = kaiming_uniform(rng, (out_features, in_features), in_features, dtype)
-        self.b = Tensor(np.zeros(out_features, dtype=dtype), requires_grad=True)
+        self.w = kaiming_uniform(rng, (out_features, in_features), in_features)
+        self.b = Tensor(np.zeros(out_features), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
         if x.ndim != 2 or x.shape[1] != self.in_features:
@@ -71,8 +71,7 @@ class Conv2d(Module):
     """3x3/1x1-style conv with bias, thin wrapper over the conv2d op."""
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
-                 rng: np.random.Generator, stride: int = 1, pad: int = 0,
-                 dtype=np.float64):
+                 rng: np.random.Generator, stride: int = 1, pad: int = 0):
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = kernel_size
@@ -80,9 +79,9 @@ class Conv2d(Module):
         self.pad = pad
         fan_in = in_channels * kernel_size * kernel_size
         self.w = kaiming_uniform(
-            rng, (out_channels, in_channels, kernel_size, kernel_size), fan_in, dtype
+            rng, (out_channels, in_channels, kernel_size, kernel_size), fan_in
         )
-        self.b = Tensor(np.zeros(out_channels, dtype=dtype), requires_grad=True)
+        self.b = Tensor(np.zeros(out_channels), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
         out = T.conv2d(x, self.w, stride=self.stride, pad=self.pad)
@@ -97,15 +96,12 @@ class ResidualBasicBlock(Module):
     """
 
     def __init__(self, in_channels: int, out_channels: int, rng: np.random.Generator,
-                 stride: int = 1, dtype=np.float64):
-        self.conv1 = Conv2d(in_channels, out_channels, 3, rng, stride=stride, pad=1,
-                            dtype=dtype)
-        self.conv2 = Conv2d(out_channels, out_channels, 3, rng, stride=1, pad=1,
-                            dtype=dtype)
+                 stride: int = 1):
+        self.conv1 = Conv2d(in_channels, out_channels, 3, rng, stride=stride, pad=1)
+        self.conv2 = Conv2d(out_channels, out_channels, 3, rng, stride=1, pad=1)
         self.proj = None
         if stride != 1 or in_channels != out_channels:
-            self.proj = Conv2d(in_channels, out_channels, 1, rng, stride=stride, pad=0,
-                               dtype=dtype)
+            self.proj = Conv2d(in_channels, out_channels, 1, rng, stride=stride, pad=0)
 
     def __call__(self, x: Tensor) -> Tensor:
         branch = self.conv2(T.relu(self.conv1(x)))
@@ -120,11 +116,11 @@ class ResidualBasicBlock(Module):
 class Mlp(Module):
     """Linear layers with relu between, no activation after the last."""
 
-    def __init__(self, widths: list[int], rng: np.random.Generator, dtype=np.float64):
+    def __init__(self, widths: list[int], rng: np.random.Generator):
         if len(widths) < 2:
             raise ContractError(f"mlp needs at least [in, out] widths, got {widths}")
         self.layers = [
-            Linear(widths[i], widths[i + 1], rng, dtype) for i in range(len(widths) - 1)
+            Linear(widths[i], widths[i + 1], rng) for i in range(len(widths) - 1)
         ]
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -135,8 +131,7 @@ class Mlp(Module):
         return x
 
 
-def router_mlp(feature_width: int, num_experts: int, rng: np.random.Generator,
-               dtype=np.float64) -> Mlp:
+def router_mlp(feature_width: int, num_experts: int, rng: np.random.Generator) -> Mlp:
     """Two-layer scoring MLP: d -> max(8, d//2) -> N."""
     hidden = max(8, feature_width // 2)
-    return Mlp([feature_width, hidden, num_experts], rng, dtype)
+    return Mlp([feature_width, hidden, num_experts], rng)

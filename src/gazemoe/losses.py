@@ -49,8 +49,8 @@ def load_balance_loss(f, p_bar) -> Tensor:
     Both inputs must already be normalized distributions; f is detached,
     gradient flows through p_bar only.
     """
-    f_arr = np.asarray(f.data if isinstance(f, Tensor) else f, dtype=np.float64)
     p_tensor = p_bar if isinstance(p_bar, Tensor) else Tensor(p_bar)
+    f_arr = np.asarray(f.data if isinstance(f, Tensor) else f, dtype=p_tensor.dtype)
     if f_arr.shape != p_tensor.shape:
         raise ContractError(
             f"f has shape {f_arr.shape}, p_bar has shape {p_tensor.shape}"

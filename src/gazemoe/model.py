@@ -6,6 +6,11 @@ The gaze feature is computed once per forward and adapted to each hybrid
 block through a learned linear projection. A config with no hybrid
 positions degenerates to a plain residual network that never touches the
 heatmap (baseline mode).
+
+Precision is decided here and nowhere else: every layer is built in
+float64 from one seeded draw, then the network casts each parameter once
+to the requested precision, so a float32 model starts from the float64
+weights rounded once.
 """
 
 from __future__ import annotations
@@ -14,24 +19,26 @@ import numpy as np
 
 from . import tensor as T
 from .config import ModelConfig
-from .errors import ContractError, DimensionError, ValidationError
+from .errors import ConfigError, ContractError, DimensionError, ValidationError
 from .layers import Conv2d, Linear, Module, ResidualBasicBlock
 from .moe import HybridMoeBlock, RoutingRecord
 from .tensor import Tensor
+
+_DTYPES = {"float64": np.float64, "float32": np.float32}
 
 
 class GazeEncoder(Module):
     """Heatmap -> fixed-width feature: stride-2 convs, relu, pool, linear."""
 
     def __init__(self, in_channels: int, conv_channels: tuple[int, ...],
-                 out_width: int, rng: np.random.Generator, dtype=np.float64):
+                 out_width: int, rng: np.random.Generator):
         convs = []
         prev = in_channels
         for ch in conv_channels:
-            convs.append(Conv2d(prev, ch, 3, rng, stride=2, pad=1, dtype=dtype))
+            convs.append(Conv2d(prev, ch, 3, rng, stride=2, pad=1))
             prev = ch
         self.convs = convs
-        self.proj = Linear(prev, out_width, rng, dtype)
+        self.proj = Linear(prev, out_width, rng)
 
     def __call__(self, heatmap: Tensor) -> Tensor:
         if heatmap.ndim != 4:
@@ -50,15 +57,19 @@ class GazeEncoder(Module):
 class HybridMoeNet(Module):
     """Gaze-conditioned residual classifier with routed expert blocks."""
 
-    def __init__(self, config: ModelConfig, dtype=np.float64):
+    def __init__(self, config: ModelConfig, precision: str = "float64"):
         config.validate()
+        if precision not in _DTYPES:
+            raise ConfigError(
+                f"precision must be one of {', '.join(_DTYPES)}, got {precision!r}"
+            )
         self.config = config
-        self.dtype = dtype
+        self.dtype = _DTYPES[precision]
         rng = np.random.default_rng(config.seed)
         hybrid_at = set(config.hybrid_positions)
 
         self.stem = Conv2d(config.in_channels, config.stem_channels, 3, rng,
-                           stride=config.stem_stride, pad=1, dtype=dtype)
+                           stride=config.stem_stride, pad=1)
         blocks = []
         gaze_projs = []
         in_ch = config.stem_channels
@@ -71,22 +82,22 @@ class HybridMoeNet(Module):
                 if (s, b) in hybrid_at:
                     blocks.append(HybridMoeBlock(
                         in_ch, out_ch, config.num_experts, config.top_k,
-                        config.gaze_feature_width, rng, stride=stride,
-                        block_id=block_id, dtype=dtype,
+                        config.gaze_feature_width, rng, stride=stride, block_id=block_id,
                     ))
                     gaze_projs.append(Linear(
-                        config.gaze_feature_width, config.gaze_feature_width, rng, dtype
+                        config.gaze_feature_width, config.gaze_feature_width, rng
                     ))
                     block_id += 1
                 else:
-                    blocks.append(ResidualBasicBlock(in_ch, out_ch, rng,
-                                                     stride=stride, dtype=dtype))
+                    blocks.append(ResidualBasicBlock(in_ch, out_ch, rng, stride=stride))
                 in_ch = out_ch
         self.blocks = blocks
         self.gaze_encoder = GazeEncoder(1, config.gaze_encoder_channels,
-                                        config.gaze_feature_width, rng, dtype)
+                                        config.gaze_feature_width, rng)
         self.gaze_projs = gaze_projs
-        self.head = Linear(in_ch, config.num_classes, rng, dtype)
+        self.head = Linear(in_ch, config.num_classes, rng)
+        for p in self.parameters():
+            p.data = p.data.astype(self.dtype, copy=False)
 
     # -- structure helpers ------------------------------------------------
 
@@ -135,8 +146,3 @@ class HybridMoeNet(Module):
                 x = blk(x)
         logits = self.head(T.global_avg_pool(x))
         return logits, records
-
-
-def build_model(config: ModelConfig, precision: str = "float64") -> HybridMoeNet:
-    dtype = np.float64 if precision == "float64" else np.float32
-    return HybridMoeNet(config, dtype=dtype)

@@ -62,10 +62,10 @@ class ExpertBank(Module):
     """
 
     def __init__(self, num_experts: int, in_channels: int, out_channels: int,
-                 rng: np.random.Generator, stride: int = 1, dtype=np.float64):
+                 rng: np.random.Generator, stride: int = 1):
         self.num_experts = num_experts
         self.experts = [
-            ResidualBasicBlock(in_channels, out_channels, rng, stride=stride, dtype=dtype)
+            ResidualBasicBlock(in_channels, out_channels, rng, stride=stride)
             for _ in range(num_experts)
         ]
         self.eval_count = 0
@@ -125,9 +125,8 @@ class MoeBranch(Module):
 class FusionGate(Module):
     """p = sigmoid(w_p([x_f || x_exp])), one scalar per sample in (0,1)."""
 
-    def __init__(self, image_width: int, gaze_width: int, rng: np.random.Generator,
-                 dtype=np.float64):
-        self.proj = Linear(image_width + gaze_width, 1, rng, dtype)
+    def __init__(self, image_width: int, gaze_width: int, rng: np.random.Generator):
+        self.proj = Linear(image_width + gaze_width, 1, rng)
 
     def __call__(self, x_f: Tensor, x_exp: Tensor) -> Tensor:
         return T.sigmoid(self.proj(T.concat([x_f, x_exp], axis=1)))
@@ -144,19 +143,19 @@ class HybridMoeBlock(Module):
 
     def __init__(self, in_channels: int, out_channels: int, num_experts: int,
                  top_k: int, gaze_width: int, rng: np.random.Generator,
-                 stride: int = 1, block_id: int = 0, dtype=np.float64):
+                 stride: int = 1, block_id: int = 0):
         self.block_id = block_id
         self.dd = MoeBranch(
-            router_mlp(in_channels, num_experts, rng, dtype),
-            ExpertBank(num_experts, in_channels, out_channels, rng, stride, dtype),
+            router_mlp(in_channels, num_experts, rng),
+            ExpertBank(num_experts, in_channels, out_channels, rng, stride),
             top_k,
         )
         self.de = MoeBranch(
-            router_mlp(gaze_width, num_experts, rng, dtype),
-            ExpertBank(num_experts, in_channels, out_channels, rng, stride, dtype),
+            router_mlp(gaze_width, num_experts, rng),
+            ExpertBank(num_experts, in_channels, out_channels, rng, stride),
             top_k,
         )
-        self.gate = FusionGate(in_channels, gaze_width, rng, dtype)
+        self.gate = FusionGate(in_channels, gaze_width, rng)
 
     def __call__(self, x: Tensor, x_exp: Tensor) -> tuple[Tensor, tuple[RoutingRecord, RoutingRecord]]:
         if x_exp is None:

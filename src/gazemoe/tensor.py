@@ -60,7 +60,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype if dtype is not None else None)
+        arr = np.asarray(data, dtype=dtype)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(DEFAULT_DTYPE)
         self.data = np.ascontiguousarray(arr)
@@ -95,9 +95,6 @@ class Tensor:
             _scalar_err(self)
         return float(self.data.reshape(-1)[0])
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -127,9 +124,6 @@ class Tensor:
 
     def __rmul__(self, other):
         return mul(_lift(other, self.dtype), self)
-
-    def __neg__(self):
-        return neg(self)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -251,26 +245,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     )
 
 
-def neg(a: Tensor) -> Tensor:
-    return _make_op(-a.data, (a,), lambda g: (-g,))
-
-
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
     return _make_op(a.data * c, (a,), lambda g: (g * c,))
-
-
-def square(a: Tensor) -> Tensor:
-    return _make_op(a.data * a.data, (a,), lambda g: (2.0 * a.data * g,))
-
-
-def exp(a: Tensor) -> Tensor:
-    out = np.exp(a.data)
-    return _make_op(out, (a,), lambda g: (g * out,))
-
-
-def log(a: Tensor) -> Tensor:
-    return _make_op(np.log(a.data), (a,), lambda g: (g / a.data,))
 
 
 # -- reductions and shape ops -----------------------------------------

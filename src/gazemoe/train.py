@@ -28,7 +28,7 @@ from .data import (SampleManifest, augment, load_groups, load_image,
 from .errors import ConfigError, ContractError, NumericsError, ValidationError
 from .losses import cross_entropy, load_balance_loss, total_loss
 from .metrics import accuracy, macro_auc, routing_purity
-from .model import HybridMoeNet, build_model
+from .model import HybridMoeNet
 from .moe import RoutingRecord, batch_routing_stats, write_routing_csv
 from .optim import Adam, step_lr
 from .serialize import load_checkpoint, load_into, save_checkpoint
@@ -50,7 +50,7 @@ def _load_pixels(rows: list[SampleManifest]) -> dict[str, tuple[np.ndarray, np.n
     for m in rows:
         pair = []
         for path in (m.image_path, m.heatmap_path):
-            pixels = load_image(path).data
+            pixels = load_image(path)
             first = first or (path, pixels.shape)
             if pixels.shape != first[1]:
                 raise ValidationError(
@@ -248,7 +248,7 @@ def train(config: TrainConfig, manifest_path, out_dir) -> TrainResult:
     train_rows, test_rows = _fold_rows(manifests, config, config.fold)
     cache = _load_pixels(manifests)
 
-    model = build_model(config.model, config.precision)
+    model = HybridMoeNet(config.model, config.precision)
     config_text = config_to_text(config)
 
     # header now, then both rows of each epoch as soon as they exist, so a
@@ -326,7 +326,7 @@ def load_model(checkpoint_dir) -> tuple[HybridMoeNet, TrainConfig]:
     arrays, config_text = load_checkpoint(checkpoint_dir)
     config = config_from_text(config_text, TrainConfig)
     config.validate()
-    model = build_model(config.model, config.precision)
+    model = HybridMoeNet(config.model, config.precision)
     load_into(model.named_parameters(), arrays)
     return model, config
 
@@ -375,7 +375,13 @@ def run_gradcheck(config: TrainConfig, batch_size: int = 2, image_size: int = 16
     Always runs in float64 (central differences need the headroom) and
     probes a seeded subset of coordinates per parameter.
     """
-    model = build_model(config.model, "float64")
+    if max_coords_per_param < 1:
+        raise ConfigError(
+            f"max_coords_per_param (--coords) must be >= 1, got {max_coords_per_param}"
+        )
+    if not (math.isfinite(tol) and tol > 0):
+        raise ConfigError(f"tol (--tol) must be finite and > 0, got {tol!r}")
+    model = HybridMoeNet(config.model, "float64")
     rng = np.random.default_rng(config.seed)
     images = Tensor(rng.uniform(
         0, 1, (batch_size, config.model.in_channels, image_size, image_size)

@@ -36,7 +36,7 @@ from gazemoe.data import (
 )
 from gazemoe.losses import cross_entropy, load_balance_loss
 from gazemoe.metrics import macro_auc
-from gazemoe.model import build_model
+from gazemoe.model import HybridMoeNet
 from gazemoe.moe import ExpertBank, HybridMoeBlock, MoeBranch
 from gazemoe.serialize import load_checkpoint, save_checkpoint
 from gazemoe.tensor import Tensor
@@ -205,7 +205,7 @@ def test_05_expert_eval_counter_exact(capsys):
                 blocks_per_stage=(1, nblocks),
                 hybrid_positions=tuple((1, j) for j in range(nblocks)),
             )
-            model = build_model(cfg)
+            model = HybridMoeNet(cfg)
             images = Tensor(rng.uniform(0, 1, (batch, 1, 16, 16)))
             heats = Tensor(rng.uniform(0, 1, (batch, 1, 16, 16)))
             got = model.count_expert_evals(images, heats)

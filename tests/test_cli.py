@@ -16,6 +16,7 @@ from gazemoe.cli import main
 from gazemoe.config import SyntheticSpec, TrainConfig, config_from_text, load_config
 from gazemoe.data import SampleManifest, load_manifest, write_manifest, write_pgm
 from gazemoe.errors import ConfigError
+from gazemoe.serialize import load_checkpoint
 from gazemoe.train import run_gradcheck
 
 REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
@@ -311,6 +312,22 @@ class TestEval:
                     "acc:", "auc:"):
             assert key in printed
 
+    def test_float32_run_trains_evaluates_and_saves_float32(self, workspace,
+                                                           tmp_path, capsys):
+        run_dir = os.path.join(tmp_path, "f32")
+        assert run_cli(["train", "--config", workspace["config"],
+                        "--manifest", workspace["manifest"], "--out", run_dir,
+                        "--set", "precision=float32", "--set", "epochs=1"]) == 0
+        final = os.path.join(run_dir, "checkpoint_final")
+        assert run_cli(["eval", "--checkpoint", final,
+                        "--manifest", workspace["manifest"], "--fold", "0"]) == 0
+        assert "auc:" in capsys.readouterr().out
+        for ckpt in ("checkpoint_best", "checkpoint_final"):
+            arrays, _ = load_checkpoint(os.path.join(run_dir, ckpt))
+            assert arrays
+            assert {name: a.dtype for name, a in arrays.items()
+                    if a.dtype != np.float32} == {}
+
     def test_missing_checkpoint_exits_1(self, workspace, capsys):
         assert run_cli(["eval", "--checkpoint", "/no/such/dir",
                         "--manifest", workspace["manifest"]]) == 1
@@ -391,11 +408,22 @@ class TestGradcheck:
 
     def test_fail_exits_2_showing_one_sided_differences(self, workspace, capsys):
         assert run_cli(["gradcheck", "--config", workspace["config"],
-                        "--coords", "2", "--tol", "0"]) == 2
+                        "--coords", "2", "--tol", "1e-15"]) == 2
         printed = capsys.readouterr().out
         assert printed.startswith("FAIL: max rel err")
         assert re.search(r"one-sided diffs there \S+ \(forward\), \S+ \(backward\)",
                          printed)
+
+    # no coordinates checks nothing; tol inf passes anything, tol 0, < 0 or
+    # nan can never pass
+    @pytest.mark.parametrize("flag, value", [
+        ("--coords", "0"), ("--coords", "-1"),
+        ("--tol", "0"), ("--tol", "-1"), ("--tol", "nan"), ("--tol", "inf"),
+    ])
+    def test_bad_coords_or_tol_exits_1(self, workspace, capsys, flag, value):
+        assert run_cli(["gradcheck", "--config", workspace["config"],
+                        flag, value]) == 1
+        assert_one_line_error(capsys.readouterr().err, flag, value)
 
 
 class TestRouteDump:

@@ -218,14 +218,15 @@ class TestPgm:
         write_pgm(path, np.array([[0.0, 1.0], [1.0, 0.0]]), maxval=255)
         img = load_image(path)
         assert img.shape == (1, 2, 2)
-        np.testing.assert_array_equal(img.data[0], [[0.0, 1.0], [1.0, 0.0]])
+        assert img.dtype == np.float64
+        np.testing.assert_array_equal(img[0], [[0.0, 1.0], [1.0, 0.0]])
 
     def test_load_image_16bit_scales_by_maxval(self, tmp_path):
         path = os.path.join(tmp_path, "t.pgm")
         with open(path, "wb") as fh:
             fh.write(b"P5\n1 1\n65535\n" + (32768).to_bytes(2, "big"))
         img = load_image(path)
-        assert img.data[0, 0, 0] == 32768 / 65535
+        assert img[0, 0, 0] == 32768 / 65535
 
 
 class TestAugment:

@@ -5,11 +5,12 @@ import pytest
 
 from gazemoe import tensor as T
 from gazemoe.config import ModelConfig
-from gazemoe.errors import ContractError, DimensionError, ValidationError
+from gazemoe.errors import ConfigError, ContractError, DimensionError, ValidationError
 from gazemoe.layers import ResidualBasicBlock
-from gazemoe.model import GazeEncoder, HybridMoeNet, build_model
+from gazemoe.model import GazeEncoder, HybridMoeNet
 from gazemoe.moe import HybridMoeBlock
 from gazemoe.tensor import Tensor, finite_diff_check
+from gazemoe.train import _forward_losses
 
 
 def toy_config(**overrides):
@@ -198,13 +199,51 @@ def test_parameter_count_matches_config_arithmetic():
 
 
 def test_float32_switch():
-    net = build_model(toy_config(), precision="float32")
+    net = HybridMoeNet(toy_config(), precision="float32")
+    assert net.dtype == np.float32
     assert all(p.dtype == np.float32 for p in net.parameters())
     img, hm = batch(size=8)
     logits, _ = net(
         Tensor(img.data.astype(np.float32)), Tensor(hm.data.astype(np.float32))
     )
     assert logits.dtype == np.float32
+
+
+def test_float32_weights_are_float64_weights_rounded_once():
+    cfg = toy_config(num_experts=3, top_k=2)
+    wide = HybridMoeNet(cfg).named_parameters()
+    narrow = HybridMoeNet(cfg, precision="float32").named_parameters()
+    assert [n for n, _ in narrow] == [n for n, _ in wide]
+    for (name, p32), (_, p64) in zip(narrow, wide):
+        assert p32.data.tobytes() == p64.data.astype(np.float32).tobytes(), name
+
+
+def test_float32_training_step_stays_float32(monkeypatch):
+    net = HybridMoeNet(toy_config(top_k=2), precision="float32")
+    img, hm = batch(b=4, size=8)
+    images = Tensor(img.data.astype(np.float32))
+    heatmaps = Tensor(hm.data.astype(np.float32))
+    _, _, total, _ = _forward_losses(net, images, heatmaps, np.array([0, 1, 2, 0]), 0.01)
+    assert total.dtype == np.float32
+
+    params = {id(p): name for name, p in net.named_parameters()}
+    seen = []
+    accumulate = Tensor.accumulate_grad
+
+    def record(self, g):
+        if id(self) in params:
+            seen.append((params[id(self)], g.dtype))
+        accumulate(self, g)
+
+    monkeypatch.setattr(Tensor, "accumulate_grad", record)
+    T.backward(total)
+    assert {name for name, _ in seen} >= {"stem.w", "head.w", "gaze_encoder.proj.w"}
+    assert [(n, d) for n, d in seen if d != np.float32] == []
+
+
+def test_unknown_precision_is_a_config_error():
+    with pytest.raises(ConfigError, match="float16"):
+        HybridMoeNet(toy_config(), precision="float16")
 
 
 @pytest.mark.parametrize("k", [1, 2])

@@ -15,6 +15,10 @@ from gazemoe.errors import ContractError, DimensionError
 from gazemoe.tensor import Tensor, backward, finite_diff_check, no_grad
 
 
+def sum_sq(y):
+    return (y * y).sum()
+
+
 def finite_floats(lo, hi):
     return st.floats(min_value=lo, max_value=hi, allow_nan=False, allow_infinity=False)
 
@@ -184,7 +188,7 @@ def test_conv2d_input_without_grad_gets_none_and_same_kernel_grad():
     grads = []
     for x_requires_grad in (True, False):
         xt, wt = Tensor(x, requires_grad=x_requires_grad), Tensor(w, requires_grad=True)
-        T.backward(T.square(T.conv2d(xt, wt, stride=2, pad=1)).sum())
+        T.backward(sum_sq(T.conv2d(xt, wt, stride=2, pad=1)))
         grads.append(wt.grad)
     assert xt.grad is None
     np.testing.assert_array_equal(grads[0], grads[1])
@@ -332,15 +336,6 @@ def test_no_grad_blocks_recording():
     assert not y.requires_grad and y.is_leaf
 
 
-def test_detach_cuts_graph():
-    x = Tensor([1.0, 2.0], requires_grad=True)
-    y = (x * x).detach()
-    assert not y.requires_grad
-    backward((x * y).sum())
-    # y treated as a constant [1, 4]
-    assert np.array_equal(x.grad, [1.0, 4.0])
-
-
 # -- index ops -----------------------------------------------------------
 
 
@@ -476,10 +471,7 @@ def _fd_case(name):
         return [("a", a), ("b", b)], lambda: (a * b).sum()
     if name == "sub_neg_scale":
         a, b = away_from_zero((4,)), away_from_zero((4,))
-        return [("a", a), ("b", b)], lambda: (T.scale(a - b, 3.0) * (-a)).sum()
-    if name == "square_exp_log":
-        a = Tensor(rng.uniform(0.5, 2.0, size=(3,)), requires_grad=True)
-        return [("a", a)], lambda: (T.square(a) + T.exp(a) + T.log(a)).sum()
+        return [("a", a), ("b", b)], lambda: (T.scale(a - b, 3.0) * T.scale(a, -1.0)).sum()
     if name == "matmul":
         a, b = away_from_zero((3, 4)), away_from_zero((4, 2))
         return [("a", a), ("b", b)], lambda: ((a @ b) * (a @ b)).sum()
@@ -488,7 +480,7 @@ def _fd_case(name):
         return [("a", a)], lambda: (T.relu(a) * T.relu(a)).sum()
     if name == "sigmoid":
         a = away_from_zero((2, 4))
-        return [("a", a)], lambda: T.square(T.sigmoid(a)).sum()
+        return [("a", a)], lambda: sum_sq(T.sigmoid(a))
     if name == "softmax":
         a = away_from_zero((3, 4))
         w = Tensor(rng.normal(size=(3, 4)))
@@ -499,7 +491,7 @@ def _fd_case(name):
         return [("a", a)], lambda: (T.log_softmax(a, axis=-1) * w).sum()
     if name == "mean_axis":
         a = away_from_zero((3, 5))
-        return [("a", a)], lambda: T.square(a.mean(axis=1)).sum()
+        return [("a", a)], lambda: sum_sq(a.mean(axis=1))
     if name == "sum_keepdims":
         a = away_from_zero((3, 5))
         return [("a", a)], lambda: (a * a.sum(axis=0, keepdims=True)).sum()
@@ -510,29 +502,29 @@ def _fd_case(name):
         )
         x = away_from_zero(x_shape)
         w = away_from_zero(w_shape)
-        return [("x", x), ("w", w)], lambda: T.square(
-            T.conv2d(x, w, stride=stride, pad=pad)).sum()
+        return [("x", x), ("w", w)], lambda: sum_sq(
+            T.conv2d(x, w, stride=stride, pad=pad))
     if name == "global_avg_pool":
         x = away_from_zero((2, 3, 4, 4))
-        return [("x", x)], lambda: T.square(T.global_avg_pool(x)).sum()
+        return [("x", x)], lambda: sum_sq(T.global_avg_pool(x))
     if name == "concat_transpose":
         a, b = away_from_zero((2, 3)), away_from_zero((2, 2))
-        return [("a", a), ("b", b)], lambda: T.square(T.concat([a, b], axis=1).T).sum()
+        return [("a", a), ("b", b)], lambda: sum_sq(T.concat([a, b], axis=1).T)
     if name == "index_ops":
         x = away_from_zero((4, 6))
         idx = np.array([[1, 4], [0, 2], [5, 3], [2, 2]])
         # row 3 is taken twice, so take_rows must accumulate its gradient
-        return [("x", x)], lambda: T.square(T.put_rows(
+        return [("x", x)], lambda: sum_sq(T.put_rows(
             T.take_rows(T.take_per_row(x, idx), np.array([3, 0, 3, 2])),
             np.array([5, 1, 0, 3]), num_rows=6,
-        )).sum()
+        ))
     raise AssertionError(name)
 
 
 @pytest.mark.parametrize(
     "case",
     [
-        "add_broadcast", "mul_broadcast", "sub_neg_scale", "square_exp_log",
+        "add_broadcast", "mul_broadcast", "sub_neg_scale",
         "matmul", "relu", "sigmoid", "softmax", "log_softmax", "mean_axis",
         "sum_keepdims", "conv2d", "global_avg_pool", "concat_transpose", "index_ops",
     ] + [f"conv2d-{geometry}" for geometry in MODEL_CONV_GEOMETRIES],
