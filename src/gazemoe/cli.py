@@ -3,8 +3,9 @@
 Subcommands: synth-gen, train, eval, gradcheck, route-dump, and
 experiment (one headline experiment from ``experiments.py`` over a seed
 range). Exit codes: 0 on success, 1 for bad user input (missing files,
-malformed configs, bad CLI usage), 2 for internal failures (broken
-invariants, non-finite training, failed gradient checks).
+unwritable output paths, malformed configs, bad CLI usage), 2 for
+internal failures (broken invariants, non-finite training, failed
+gradient checks).
 """
 
 from __future__ import annotations
@@ -182,7 +183,7 @@ def main(argv=None) -> int:
         return USAGE_EXIT
     try:
         return _COMMANDS[args.command](args)
-    except InputError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except GazeMoeError as exc:

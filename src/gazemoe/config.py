@@ -20,6 +20,9 @@ _INT_TUPLES = {
 _FLOAT_TUPLES = {"blob_radii", "blob_intensities", "brightness_contrast_range"}
 _PAIR_TUPLES = {"hybrid_positions"}
 
+# numpy dtype names a model can be built and trained in
+PRECISIONS = ("float32", "float64")
+
 # shorthand keys accepted in config files
 _ALIASES = {
     "lambda": "lb_weight",
@@ -153,9 +156,9 @@ class TrainConfig:
             raise ConfigError(f"folds must be >= 2, got {self.folds}")
         if not 0 <= self.fold < self.folds:
             raise ConfigError(f"fold must be in [0, {self.folds}), got {self.fold}")
-        if self.precision not in ("float32", "float64"):
+        if self.precision not in PRECISIONS:
             raise ConfigError(
-                f"precision must be float32 or float64, got {self.precision!r}"
+                f"precision must be one of {', '.join(PRECISIONS)}, got {self.precision!r}"
             )
         self.model.validate()
         self.augment.validate()

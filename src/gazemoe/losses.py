@@ -39,7 +39,7 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
         bad = labels[(labels < 0) | (labels >= num_classes)][0]
         raise ValidationError(f"label {bad} outside [0, {num_classes})")
     log_probs = T.log_softmax(logits, axis=1)
-    picked = T.take_per_row(log_probs, labels.reshape(-1, 1))
+    picked = T.take_rows(log_probs.reshape(-1), np.arange(labels.size) * num_classes + labels)
     return T.scale(picked.mean(), -1.0)
 
 

@@ -24,17 +24,11 @@ def accuracy(logits, labels) -> float:
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks with ties sharing their average rank."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size, dtype=np.float64)
-    sorted_vals = values[order]
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    # return_index makes np.unique sort stably, so each NaN (its own group)
+    # keeps input order; a group at sorted positions i..j has cumsum j + 1
+    _, _, group, counts = np.unique(values, return_index=True, return_inverse=True,
+                                    return_counts=True, equal_nan=False)
+    return (np.cumsum(counts) - (counts - 1) / 2)[group]
 
 
 def binary_auc(scores: np.ndarray, positives: np.ndarray) -> float:

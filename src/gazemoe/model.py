@@ -18,13 +18,11 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .config import ModelConfig
+from .config import PRECISIONS, ModelConfig
 from .errors import ConfigError, ContractError, DimensionError, ValidationError
 from .layers import Conv2d, Linear, Module, ResidualBasicBlock
 from .moe import HybridMoeBlock, RoutingRecord
 from .tensor import Tensor
-
-_DTYPES = {"float64": np.float64, "float32": np.float32}
 
 
 class GazeEncoder(Module):
@@ -51,7 +49,7 @@ class GazeEncoder(Module):
         x = heatmap
         for conv in self.convs:
             x = T.relu(conv(x))
-        return self.proj(T.global_avg_pool(x))
+        return self.proj(x.mean(axis=(2, 3)))
 
 
 class HybridMoeNet(Module):
@@ -59,12 +57,12 @@ class HybridMoeNet(Module):
 
     def __init__(self, config: ModelConfig, precision: str = "float64"):
         config.validate()
-        if precision not in _DTYPES:
+        if precision not in PRECISIONS:
             raise ConfigError(
-                f"precision must be one of {', '.join(_DTYPES)}, got {precision!r}"
+                f"precision must be one of {', '.join(PRECISIONS)}, got {precision!r}"
             )
         self.config = config
-        self.dtype = _DTYPES[precision]
+        self.dtype = np.dtype(precision).type
         rng = np.random.default_rng(config.seed)
         hybrid_at = set(config.hybrid_positions)
 
@@ -144,5 +142,5 @@ class HybridMoeNet(Module):
                 records.extend(branch_records)
             else:
                 x = blk(x)
-        logits = self.head(T.global_avg_pool(x))
+        logits = self.head(x.mean(axis=(2, 3)))
         return logits, records

@@ -53,6 +53,11 @@ class RoutingRecord:
     def num_experts(self) -> int:
         return self.raw_scores.shape[1]
 
+    @property
+    def usage(self) -> np.ndarray:
+        """Per-expert share of top-1 assignments over the batch; sums to 1."""
+        return np.bincount(self.top1, minlength=self.num_experts) / self.batch_size
+
 
 class ExpertBank(Module):
     """N residual blocks with independent parameters and identical shapes.
@@ -99,7 +104,8 @@ class MoeBranch(Module):
         raw = self.router(routing_feature)
         order = np.argsort(-raw.data, axis=1, kind="stable")
         indices = np.ascontiguousarray(order[:, : self.top_k])
-        selected = T.take_per_row(raw, indices)
+        batch, n = raw.shape  # sample b's scores are flat entries b*n .. b*n + n-1
+        selected = T.take_rows(raw.reshape(-1), np.arange(batch)[:, None] * n + indices)
         weights = T.softmax(selected, axis=1)
         return indices, weights, raw
 
@@ -165,7 +171,7 @@ class HybridMoeBlock(Module):
                 f"batch mismatch: image features {x.shape[0]} rows, "
                 f"gaze features {x_exp.shape[0]} rows"
             )
-        x_f = T.global_avg_pool(x)
+        x_f = x.mean(axis=(2, 3))
         h_dd, rec_dd = self.dd(x, x_f, self.block_id, "DD")
         h_de, rec_de = self.de(x, x_exp, self.block_id, "DE")
         p = self.gate(x_f, x_exp)  # [B, 1]
@@ -184,7 +190,7 @@ def batch_routing_stats(record: RoutingRecord) -> tuple[np.ndarray, Tensor]:
     """
     if record.batch_size == 0:
         raise ContractError("routing stats need a nonempty batch")
-    f = np.bincount(record.top1, minlength=record.num_experts) / record.batch_size
+    f = record.usage
     p_bar = T.softmax(record.raw_scores, axis=1).mean(axis=0)
     return f, p_bar
 
@@ -211,9 +217,8 @@ def write_routing_csv(path, records: list[RoutingRecord], sample_ids: list[str])
                 raise ContractError(
                     f"record batch {rec.batch_size} != {len(sample_ids)} sample ids"
                 )
-            gate = rec.gate_p if rec.gate_p is not None else np.full(rec.batch_size, np.nan)
             for b, sid in enumerate(sample_ids):
                 row = [sid, str(rec.block_id), rec.branch]
                 row += [repr(float(v)) for v in rec.raw_scores.data[b]]
-                row += [str(int(rec.top1[b])), repr(float(gate[b]))]
+                row += [str(int(rec.top1[b])), repr(float(rec.gate_p[b]))]
                 writer.writerow(row)

@@ -59,8 +59,8 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(DEFAULT_DTYPE)
         self.data = np.ascontiguousarray(arr)
@@ -135,11 +135,11 @@ class Tensor:
     def T(self):
         return transpose(self)
 
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
+    def sum(self, axis=None):
+        return tsum(self, axis=axis)
 
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
+    def mean(self, axis=None):
+        return tmean(self, axis=axis)
 
 
 def _scalar_err(t):
@@ -219,7 +219,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
         grad = grad.sum(axis=tuple(range(extra)))
     axes = tuple(i for i, (g, s) in enumerate(zip(grad.shape, shape)) if s == 1 and g != 1)
     if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
+        grad = grad.sum(axis=axes)
     return grad.reshape(shape)
 
 
@@ -253,26 +253,23 @@ def scale(a: Tensor, c: float) -> Tensor:
 # -- reductions and shape ops -----------------------------------------
 
 
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = a.data.sum(axis=axis, keepdims=keepdims)
+def tsum(a: Tensor, axis=None) -> Tensor:
+    out = a.data.sum(axis=axis)
 
     def back(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
+        gg = g if axis is None else np.expand_dims(g, axis)
         return (np.broadcast_to(gg, a.shape).copy(),)
 
     return _make_op(out, (a,), back)
 
 
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    n = a.data.size if axis is None else a.data.shape[axis]
-    out = a.data.mean(axis=axis, keepdims=keepdims)
+def tmean(a: Tensor, axis=None) -> Tensor:
+    """Mean over ``axis`` (None, an int or a tuple of ints)."""
+    out = a.data.mean(axis=axis)
+    n = a.data.size // np.size(out)
 
     def back(g):
-        if axis is None:
-            return (np.broadcast_to(g / n, a.shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
+        gg = g if axis is None else np.expand_dims(g, axis)
         return (np.broadcast_to(gg / n, a.shape).copy(),)
 
     return _make_op(out, (a,), back)
@@ -332,29 +329,29 @@ def sigmoid(a: Tensor) -> Tensor:
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     if not -a.ndim <= axis < a.ndim:
         raise DimensionError(f"softmax axis {axis} invalid for shape {a.shape}")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    shifted = a.data - np.expand_dims(a.data.max(axis=axis), axis)
     e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    out = e / np.expand_dims(e.sum(axis=axis), axis)
 
     def back(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
+        dot = np.expand_dims((g * out).sum(axis=axis), axis)
         return ((g - dot) * out,)
 
     return _make_op(out, (a,), back)
 
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    shifted = a.data - np.expand_dims(a.data.max(axis=axis), axis)
+    lse = np.log(np.expand_dims(np.exp(shifted).sum(axis=axis), axis))
     out = shifted - lse
 
     def back(g):
-        return (g - np.exp(out) * g.sum(axis=axis, keepdims=True),)
+        return (g - np.exp(out) * np.expand_dims(g.sum(axis=axis), axis),)
 
     return _make_op(out, (a,), back)
 
 
-# -- convolution and pooling -------------------------------------------
+# -- convolution -------------------------------------------------------
 
 
 # Patch-matrix chunk budget in bytes. One core's L2 is 2 MiB on the 2-vCPU
@@ -480,19 +477,6 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     return _make_op(out, (x, w), back)
 
 
-def global_avg_pool(x: Tensor) -> Tensor:
-    """[B,C,H,W] -> [B,C] spatial mean."""
-    if x.ndim != 4:
-        raise DimensionError(f"global_avg_pool expects 4-d input, got {x.shape}")
-    B, C, H, W = x.shape
-    out = x.data.mean(axis=(2, 3))
-
-    def back(g):
-        return (np.broadcast_to(g[:, :, None, None] / (H * W), x.shape).copy(),)
-
-    return _make_op(out, (x,), back)
-
-
 # -- index ops (values move, gradients follow; indices are constants) --
 
 
@@ -525,20 +509,6 @@ def put_rows(x: Tensor, idx: np.ndarray, num_rows: int) -> Tensor:
     out = np.zeros((num_rows,) + x.shape[1:], dtype=x.dtype)
     out[idx] = x.data
     return _make_op(out, (x,), lambda g: (g[idx],))
-
-
-def take_per_row(x: Tensor, idx: np.ndarray) -> Tensor:
-    """Gather along axis 1 per row: out[b, j] = x[b, idx[b, j]]."""
-    idx = np.asarray(idx, dtype=np.int64)
-    rows = np.arange(x.shape[0])[:, None]
-    out = x.data[rows, idx]
-
-    def back(g):
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, (rows, idx), g)
-        return (gx,)
-
-    return _make_op(out, (x,), back)
 
 
 # -- gradient verification ---------------------------------------------

@@ -170,11 +170,7 @@ class SplitReport:
     @property
     def expert_fracs(self) -> dict:
         """(block_id, branch) -> per-expert top-1 fraction over the split."""
-        return {
-            (r.block_id, r.branch):
-                np.bincount(r.top1, minlength=r.num_experts) / r.batch_size
-            for r in self.records
-        }
+        return {(r.block_id, r.branch): r.usage for r in self.records}
 
 
 def evaluate_split(model: HybridMoeNet, rows, cache, batch_size,

@@ -459,6 +459,25 @@ class TestRouteDump:
         assert not os.path.exists(out)
 
 
+class TestOutputPaths:
+    @pytest.mark.parametrize("command", ["route-dump", "train", "synth-gen", "experiment"])
+    def test_unwritable_output_path_exits_1(self, workspace, tmp_path, capsys, command):
+        a_file = os.path.join(tmp_path, "a_file")
+        open(a_file, "w").close()
+        argv = {
+            "route-dump": ["route-dump", "--checkpoint", workspace["checkpoint"],
+                           "--manifest", workspace["manifest"],
+                           "--out", os.path.join(tmp_path, "nodir", "r.csv")],
+            "train": ["train", "--config", workspace["config"],
+                      "--manifest", workspace["manifest"], "--out", a_file],
+            "synth-gen": ["synth-gen", "--spec", workspace["spec"],
+                          "--out", os.path.join(a_file, "x")],
+            "experiment": ["experiment", "blob", "--seeds", "0-0", "--out", a_file],
+        }[command]
+        assert run_cli(argv) == 1
+        assert_one_line_error(capsys.readouterr().err, tmp_path.name)
+
+
 class TestExperiment:
     def test_gradcheck_sweep_prints_seed_rows_and_summary(self, tmp_path, capsys):
         assert run_cli(["experiment", "gradcheck", "--seeds", "3-4",

@@ -1,5 +1,6 @@
 """Tensor engine: forward oracles, backward rules, finite-difference checks."""
 
+import inspect
 import tracemalloc
 import zlib
 
@@ -216,10 +217,11 @@ def test_conv2d_bad_stride():
 
 
 def test_global_avg_pool_values():
-    assert np.all(T.global_avg_pool(Tensor(np.full((2, 3, 4, 4), 7.0))).data == 7.0)
-    assert np.all(T.global_avg_pool(Tensor(np.zeros((1, 2, 3, 3)))).data == 0.0)
+    # the model pools [B,C,H,W] feature maps as a mean over the spatial axes
+    assert np.all(Tensor(np.full((2, 3, 4, 4), 7.0)).mean(axis=(2, 3)).data == 7.0)
+    assert np.all(Tensor(np.zeros((1, 2, 3, 3))).mean(axis=(2, 3)).data == 0.0)
     x = Tensor(np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 1, 2, 2))
-    assert T.global_avg_pool(x).item() == 2.5
+    assert x.mean(axis=(2, 3)).item() == 2.5
 
 
 # -- activations ---------------------------------------------------------
@@ -371,14 +373,6 @@ def test_put_rows_forward_and_grad():
     assert np.array_equal(x.grad, [[2.0, 2.0], [1.0, 1.0]])
 
 
-def test_take_per_row_forward_and_grad():
-    x = Tensor([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], requires_grad=True)
-    out = T.take_per_row(x, np.array([[2, 0], [1, 1]]))
-    assert np.array_equal(out.data, [[3.0, 1.0], [5.0, 5.0]])
-    backward(out.sum())
-    assert np.array_equal(x.grad, [[1.0, 0.0, 1.0], [0.0, 2.0, 0.0]])
-
-
 # -- shape ops -----------------------------------------------------------
 
 
@@ -492,9 +486,9 @@ def _fd_case(name):
     if name == "mean_axis":
         a = away_from_zero((3, 5))
         return [("a", a)], lambda: sum_sq(a.mean(axis=1))
-    if name == "sum_keepdims":
+    if name == "sum_broadcast":
         a = away_from_zero((3, 5))
-        return [("a", a)], lambda: (a * a.sum(axis=0, keepdims=True)).sum()
+        return [("a", a)], lambda: (a * a.sum(axis=0)).sum()
     if name == "conv2d" or name.startswith("conv2d-"):
         x_shape, w_shape, stride, pad = (
             ((2, 2, 5, 5), (3, 2, 3, 3), 2, 1) if name == "conv2d"
@@ -504,35 +498,62 @@ def _fd_case(name):
         w = away_from_zero(w_shape)
         return [("x", x), ("w", w)], lambda: sum_sq(
             T.conv2d(x, w, stride=stride, pad=pad))
-    if name == "global_avg_pool":
+    if name == "mean_spatial":
         x = away_from_zero((2, 3, 4, 4))
-        return [("x", x)], lambda: sum_sq(T.global_avg_pool(x))
+        return [("x", x)], lambda: sum_sq(T.tmean(x, axis=(2, 3)))
     if name == "concat_transpose":
         a, b = away_from_zero((2, 3)), away_from_zero((2, 2))
         return [("a", a), ("b", b)], lambda: sum_sq(T.concat([a, b], axis=1).T)
     if name == "index_ops":
         x = away_from_zero((4, 6))
         idx = np.array([[1, 4], [0, 2], [5, 3], [2, 2]])
-        # row 3 is taken twice, so take_rows must accumulate its gradient
+        # the routing gather: row b picks x[b, idx[b]] from the flattened x.
+        # x[3, 2] is picked twice and row 3 is taken twice, so both gathers
+        # must accumulate their gradients
         return [("x", x)], lambda: sum_sq(T.put_rows(
-            T.take_rows(T.take_per_row(x, idx), np.array([3, 0, 3, 2])),
+            T.take_rows(T.take_rows(x.reshape(-1), np.arange(4)[:, None] * 6 + idx),
+                        np.array([3, 0, 3, 2])),
             np.array([5, 1, 0, 3]), num_rows=6,
         ))
     raise AssertionError(name)
 
 
-@pytest.mark.parametrize(
-    "case",
-    [
-        "add_broadcast", "mul_broadcast", "sub_neg_scale",
-        "matmul", "relu", "sigmoid", "softmax", "log_softmax", "mean_axis",
-        "sum_keepdims", "conv2d", "global_avg_pool", "concat_transpose", "index_ops",
-    ] + [f"conv2d-{geometry}" for geometry in MODEL_CONV_GEOMETRIES],
-)
+FD_CASES = [
+    "add_broadcast", "mul_broadcast", "sub_neg_scale",
+    "matmul", "relu", "sigmoid", "softmax", "log_softmax", "mean_axis",
+    "sum_broadcast", "conv2d", "mean_spatial", "concat_transpose", "index_ops",
+] + [f"conv2d-{geometry}" for geometry in MODEL_CONV_GEOMETRIES]
+
+
+@pytest.mark.parametrize("case", FD_CASES)
 def test_op_gradients_match_finite_differences(case):
     params, f = _fd_case(case)
     report = finite_diff_check(f, params, eps=1e-5, tol=1e-6)
     assert report.passed, str(report)
+
+
+def test_every_graph_op_has_a_finite_difference_case(monkeypatch):
+    ops = sorted(
+        name for name, fn in vars(T).items()
+        if inspect.isfunction(fn) and fn.__module__ == T.__name__
+        and not name.startswith("_") and "_make_op(" in inspect.getsource(fn)
+    )
+    assert {"add", "tmean", "conv2d", "take_rows"} <= set(ops)
+    called = set()
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            called.add(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    # Tensor's operator sugar looks ops up in the module, so it is seen too
+    for name in ops:
+        monkeypatch.setattr(T, name, spy(name, getattr(T, name)))
+    for case in FD_CASES:
+        _, f = _fd_case(case)
+        f()
+    assert [name for name in ops if name not in called] == []
 
 
 def test_finite_diff_sampled_coordinates():
@@ -595,7 +616,7 @@ def test_composite_gradient_matches_closed_form(theta_data, w_data):
 
 def test_tensor_defaults_to_float64():
     assert Tensor([1, 2, 3]).dtype == np.float64
-    assert Tensor([1.0], dtype=np.float32).dtype == np.float32
+    assert Tensor(np.array([1.0], dtype=np.float32)).dtype == np.float32
 
 
 def test_item_requires_scalar():
