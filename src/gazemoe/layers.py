@@ -40,9 +40,6 @@ class Module:
     def parameters(self) -> list[Tensor]:
         return [p for _, p in self.named_parameters()]
 
-    def num_parameters(self) -> int:
-        return sum(p.size for p in self.parameters())
-
 
 def kaiming_uniform(rng: np.random.Generator, shape: tuple[int, ...],
                     fan_in: int) -> Tensor:

@@ -2,28 +2,21 @@
 
 The balance term is the dot product of per-expert usage frequencies f
 (discrete top-1 counts, treated as constants) with mean routing
-probabilities p_bar (differentiable). One term per MoE branch per hybrid
+probabilities p_bar (differentiable). p_bar uses the full softmax over
+all N raw scores regardless of k. One term per MoE branch per hybrid
 block, summed, scaled by the balance weight.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import tensor as T
 from .errors import ContractError, ValidationError
+from .moe import RoutingRecord
 from .tensor import Tensor
-
-
-@dataclass(frozen=True)
-class LossBreakdown:
-    cls: float
-    lb: float
-    total: float
-    lb_weight: float
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:
@@ -43,44 +36,43 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     return T.scale(picked.mean(), -1.0)
 
 
-def load_balance_loss(f, p_bar) -> Tensor:
+def load_balance_loss(f: np.ndarray, p_bar: Tensor) -> Tensor:
     """sum_i f_i * p_bar_i over one branch's experts.
 
-    Both inputs must already be normalized distributions; f is detached,
-    gradient flows through p_bar only.
+    Both inputs must already be normalized distributions; f is a
+    constant, gradient flows through p_bar only.
     """
-    p_tensor = p_bar if isinstance(p_bar, Tensor) else Tensor(p_bar)
-    f_arr = np.asarray(f.data if isinstance(f, Tensor) else f, dtype=p_tensor.dtype)
-    if f_arr.shape != p_tensor.shape:
+    f = np.asarray(f, dtype=p_bar.dtype)
+    if f.shape != p_bar.shape:
+        raise ContractError(f"f has shape {f.shape}, p_bar has shape {p_bar.shape}")
+    if abs(f.sum() - 1.0) > 1e-6:
+        raise ContractError(f"usage frequencies must sum to 1, got {f.sum()!r}")
+    if abs(float(p_bar.data.sum()) - 1.0) > 1e-6:
         raise ContractError(
-            f"f has shape {f_arr.shape}, p_bar has shape {p_tensor.shape}"
+            f"routing probabilities must sum to 1, got {float(p_bar.data.sum())!r}"
         )
-    if abs(f_arr.sum() - 1.0) > 1e-6:
-        raise ContractError(f"usage frequencies must sum to 1, got {f_arr.sum()!r}")
-    if abs(float(p_tensor.data.sum()) - 1.0) > 1e-6:
-        raise ContractError(
-            f"routing probabilities must sum to 1, got {float(p_tensor.data.sum())!r}"
-        )
-    return (Tensor(f_arr) * p_tensor).sum()
+    return (Tensor(f) * p_bar).sum()
 
 
-def total_loss(cls: Tensor, lb_terms: Sequence[Tensor],
-               lb_weight: float) -> tuple[Tensor, LossBreakdown]:
-    """total = cls + lb_weight * (sum of per-branch balance terms)."""
+def objective(logits: Tensor, records: Sequence[RoutingRecord], labels,
+              lb_weight: float) -> tuple[Tensor, float, float]:
+    """(total, cls, lb) for one batch, where
+    total = cross_entropy + lb_weight * (sum of per-branch balance terms).
+
+    ``cls`` and the unweighted ``lb`` are plain floats for logging; at
+    ``lb_weight == 0`` the total is the cross-entropy tensor itself.
+    """
     if lb_weight < 0:
         raise ContractError(f"lb_weight must be >= 0, got {lb_weight}")
-    lb_value = sum(t.item() for t in lb_terms)
-    if lb_terms and lb_weight != 0.0:
-        lb_sum = lb_terms[0]
-        for t in lb_terms[1:]:
-            lb_sum = lb_sum + t
-        total = cls + T.scale(lb_sum, lb_weight)
-    else:
-        total = cls
-    breakdown = LossBreakdown(
-        cls=cls.item(),
-        lb=lb_value,
-        total=total.item(),
-        lb_weight=lb_weight,
-    )
-    return total, breakdown
+    cls = cross_entropy(logits, labels)
+    terms = []
+    for rec in records:
+        if rec.batch_size == 0:
+            raise ContractError("routing stats need a nonempty batch")
+        p_bar = T.softmax(rec.raw_scores, axis=1).mean(axis=0)
+        terms.append(load_balance_loss(rec.usage, p_bar))
+    lb = sum(t.item() for t in terms)
+    total = cls
+    if terms and lb_weight != 0.0:
+        total = cls + T.scale(sum(terms[1:], terms[0]), lb_weight)
+    return total, cls.item(), lb

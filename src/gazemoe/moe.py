@@ -9,8 +9,7 @@ Routing is per sample. The router scores all N experts; the k highest
 scores are selected (ties to the lowest index) and their softmax becomes
 the combination weights, so k=1 degenerates to weight 1.0 on the argmax
 expert. Unselected experts never enter the graph and receive no
-gradient. Load-balance statistics use the full softmax over all N raw
-scores regardless of k.
+gradient.
 """
 
 from __future__ import annotations
@@ -179,20 +178,6 @@ class HybridMoeBlock(Module):
         pb = p.reshape(x.shape[0], 1, 1, 1)
         x_hat = pb * h_de + (1.0 - pb) * h_dd
         return x_hat, (rec_dd, rec_de)
-
-
-def batch_routing_stats(record: RoutingRecord) -> tuple[np.ndarray, Tensor]:
-    """Per-expert usage frequency f and mean routing probability p_bar.
-
-    f_i counts top-1 assignments (a detached constant); p_bar_i is the
-    batch mean of the softmax over all N raw scores and stays
-    differentiable. Both sum to 1.
-    """
-    if record.batch_size == 0:
-        raise ContractError("routing stats need a nonempty batch")
-    f = record.usage
-    p_bar = T.softmax(record.raw_scores, axis=1).mean(axis=0)
-    return f, p_bar
 
 
 def write_routing_csv(path, records: list[RoutingRecord], sample_ids: list[str]) -> None:

@@ -119,11 +119,10 @@ def load_checkpoint(ckpt_dir: str | os.PathLike) -> tuple[dict[str, np.ndarray],
                 )
             arrays[name] = arr
     config_path = os.path.join(ckpt_dir, CONFIG_NAME)
-    config_text = ""
-    if os.path.isfile(config_path):
-        with open(config_path) as fh:
-            config_text = fh.read()
-    return arrays, config_text
+    if not os.path.isfile(config_path):
+        raise FormatError(f"checkpoint has no {CONFIG_NAME}: {config_path}")
+    with open(config_path) as fh:
+        return arrays, fh.read()
 
 
 def load_into(params: Iterable[tuple[str, Tensor]],

@@ -547,14 +547,13 @@ def finite_diff_check(
     tol: float = 1e-6,
     max_coords_per_param: int | None = None,
     rng: np.random.Generator | None = None,
-    rel_floor: float = 1e-6,
 ) -> GradCheckReport:
     """Compare autodiff gradients of ``f()`` against central differences.
 
     ``f`` must be a deterministic scalar function of the given parameter
     tensors (checked by double evaluation). When ``max_coords_per_param``
     is set, a seeded random subset of coordinates is probed per tensor.
-    Relative error uses ``|ad - fd| / max(|ad|, |fd|, rel_floor)``.
+    Relative error uses ``|ad - fd| / max(|ad|, |fd|, 1e-6)``.
     """
     if eps <= 0:
         raise ContractError(f"eps must be positive, got {eps}")
@@ -591,7 +590,7 @@ def finite_diff_check(
             flat[c] = orig
             fd = (fp - fm) / (2.0 * eps)
             ad = gflat[c]
-            rel = abs(ad - fd) / max(abs(ad), abs(fd), rel_floor)
+            rel = abs(ad - fd) / max(abs(ad), abs(fd), 1e-6)
             n_checked += 1
             if rel > worst[0]:
                 worst = (rel, name, int(c), (fp - v1) / eps, (v1 - fm) / eps)

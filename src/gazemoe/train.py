@@ -26,10 +26,10 @@ from .config import TrainConfig, config_from_text, config_to_text
 from .data import (SampleManifest, augment, load_groups, load_image,
                    load_manifest, subject_kfold, uniform_class_iter)
 from .errors import ConfigError, ContractError, NumericsError, ValidationError
-from .losses import cross_entropy, load_balance_loss, total_loss
+from .losses import objective
 from .metrics import accuracy, macro_auc, routing_purity
 from .model import HybridMoeNet
-from .moe import RoutingRecord, batch_routing_stats, write_routing_csv
+from .moe import RoutingRecord, write_routing_csv
 from .optim import Adam, step_lr
 from .serialize import load_checkpoint, load_into, save_checkpoint
 from .tensor import GradCheckReport, Tensor, finite_diff_check
@@ -85,15 +85,6 @@ def _chunks(rows, size):
         yield rows[start : start + size]
 
 
-def _forward_losses(model: HybridMoeNet, images, heatmaps, labels, lb_weight):
-    """One forward pass: logits, routing records, and the combined loss."""
-    logits, records = model(images, None if model.is_baseline else heatmaps)
-    cls = cross_entropy(logits, labels)
-    lb_terms = [load_balance_loss(*batch_routing_stats(rec)) for rec in records]
-    total, breakdown = total_loss(cls, lb_terms, lb_weight)
-    return logits, records, total, breakdown
-
-
 def _fold_rows(manifests: list[SampleManifest], config: TrainConfig, fold: int
                ) -> tuple[list[SampleManifest], list[SampleManifest]]:
     """(train rows, test rows) of one subject-wise fold of ``config``'s split."""
@@ -128,11 +119,10 @@ def _forward_split(model: HybridMoeNet, rows, cache, batch_size, lb_weight):
     with T.no_grad():
         for chunk in _chunks(rows, batch_size):
             images, heatmaps, labels = _assemble(chunk, cache, model.dtype)
-            logits, records, _, breakdown = _forward_losses(
-                model, images, heatmaps, labels, lb_weight
-            )
-            cls_sum += breakdown.cls * len(chunk)
-            lb_sum += breakdown.lb * len(chunk)
+            logits, records = model(images, heatmaps)
+            _, cls, lb = objective(logits, records, labels, lb_weight)
+            cls_sum += cls * len(chunk)
+            lb_sum += lb * len(chunk)
             logits_all.append(logits.data)
             labels_all.append(labels)
             for rec in records:
@@ -280,21 +270,18 @@ def train(config: TrainConfig, manifest_path, out_dir) -> TrainResult:
     )
     aug_rng = np.random.default_rng([config.seed, 2])
     steps_per_epoch = math.ceil(len(train_rows) / config.batch_size)
-    aug_cfg = config.augment if config.augment.enabled else None
 
     for epoch in range(1, config.epochs + 1):
         opt.lr = step_lr(epoch - 1, config.lr, config.step_size, config.gamma)
         for step in range(steps_per_epoch):
             batch = next(batch_iter)
             images, heatmaps, labels = _assemble(batch, cache, model.dtype,
-                                                 aug_cfg, aug_rng)
-            _, _, total, breakdown = _forward_losses(
-                model, images, heatmaps, labels, config.lb_weight
-            )
-            if not math.isfinite(breakdown.total):
+                                                 config.augment, aug_rng)
+            total, _, _ = objective(*model(images, heatmaps), labels,
+                                    config.lb_weight)
+            if not math.isfinite(total.item()):
                 raise NumericsError(
-                    f"non-finite loss {breakdown.total} at epoch {epoch}, "
-                    f"step {step}"
+                    f"non-finite loss {total.item()} at epoch {epoch}, step {step}"
                 )
             opt.zero_grad()
             T.backward(total)
@@ -386,9 +373,7 @@ def run_gradcheck(config: TrainConfig, batch_size: int = 2, image_size: int = 16
     labels = rng.integers(0, config.model.num_classes, batch_size)
 
     def f():
-        _, _, total, _ = _forward_losses(model, images, heatmaps, labels,
-                                         config.lb_weight)
-        return total
+        return objective(*model(images, heatmaps), labels, config.lb_weight)[0]
 
     return finite_diff_check(
         f, model.named_parameters(), eps=1e-5, tol=tol,

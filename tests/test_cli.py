@@ -333,6 +333,17 @@ class TestEval:
                         "--manifest", workspace["manifest"]]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_checkpoint_without_config_exits_1_naming_it(self, workspace,
+                                                         tmp_path, capsys):
+        # evaluating with the default config would score another model
+        ckpt = os.path.join(tmp_path, "no_config")
+        shutil.copytree(workspace["checkpoint"], ckpt)
+        os.remove(os.path.join(ckpt, "config.txt"))
+        assert run_cli(["eval", "--checkpoint", ckpt,
+                        "--manifest", workspace["manifest"]]) == 1
+        assert_one_line_error(capsys.readouterr().err,
+                              os.path.join(ckpt, "config.txt"))
+
     def test_old_parameter_names_exit_1_with_short_message(self, workspace,
                                                            tmp_path, capsys):
         # checkpoints once nested blocks in stages and router MLPs in a wrapper

@@ -1,6 +1,8 @@
 """Objective terms and evaluation metrics against independent oracles."""
 
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -9,9 +11,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
+from gazemoe import losses
 from gazemoe.errors import ContractError, MetricUndefinedError, ValidationError
-from gazemoe.losses import LossBreakdown, cross_entropy, load_balance_loss, total_loss
+from gazemoe.losses import cross_entropy, load_balance_loss, objective
 from gazemoe.metrics import accuracy, macro_auc, routing_purity, usage_entropy
+from gazemoe.moe import RoutingRecord
 from gazemoe.tensor import Tensor, backward, finite_diff_check
 from gazemoe import tensor as T
 
@@ -120,43 +124,66 @@ def test_lb_lower_bound_when_f_equals_p(raw):
         np.testing.assert_allclose(f, 0.25, atol=1e-4)
 
 
-# -- total loss --------------------------------------------------------------
+# -- objective ---------------------------------------------------------------
+
+
+def routed(scores):
+    """A top-1 routing record over fixed raw scores."""
+    scores = np.asarray(scores, dtype=np.float64)
+    return RoutingRecord(0, "DD", Tensor(scores, requires_grad=True),
+                         np.argmax(scores, axis=1)[:, None])
 
 
 def test_total_loss_lambda_zero_is_classification_only():
-    cls = Tensor(1.2345, requires_grad=True) * 1.0
-    total, breakdown = total_loss(cls, [Tensor(10.0)], lb_weight=0.0)
-    assert total is cls
-    assert breakdown.total == cls.item()
-    assert breakdown.lb == 10.0
+    logits = Tensor([[1.0, 2.0, 0.5], [0.0, -1.0, 3.0]], requires_grad=True)
+    labels = [0, 2]
+    rec = routed([[2.0, 0.0], [3.0, 1.0]])
+    total, cls, lb = objective(logits, [rec], labels, lb_weight=0.0)
+    assert total.item() == cls == cross_entropy(logits, labels).item()
+    assert lb == load_balance_loss(rec.usage, T.softmax(rec.raw_scores, axis=1).mean(axis=0)).item()
+    backward(total)
+    assert rec.raw_scores.grad is None  # the balance term is not in the graph
 
 
 def test_total_loss_arithmetic():
-    total, breakdown = total_loss(
-        Tensor(1.0), [Tensor(0.25), Tensor(0.25)], lb_weight=0.01
-    )
-    assert abs(total.item() - 1.005) < 1e-12
-    assert breakdown == LossBreakdown(cls=1.0, lb=0.5, total=total.item(), lb_weight=0.01)
+    # each record: f = [1, 0], p_bar = [0.75, 0.25] (scores ln 3 apart)
+    recs = [routed([[math.log(3.0), 0.0]]) for _ in range(2)]
+    total, cls, lb = objective(Tensor([[0.0, 0.0]]), recs, [1], lb_weight=0.01)
+    assert abs(cls - math.log(2.0)) < 1e-12
+    assert abs(lb - 1.5) < 1e-12
+    assert abs(total.item() - (math.log(2.0) + 0.015)) < 1e-12
 
 
 def test_total_loss_collapsed_routing_example():
-    total, _ = total_loss(Tensor(0.0), [Tensor(1.0), Tensor(1.0)], lb_weight=0.01)
+    recs = [routed([[50.0, -50.0]]), routed([[-50.0, 50.0]])]
+    total, _, _ = objective(Tensor([[1000.0, -1000.0]]), recs, [0], lb_weight=0.01)
     assert abs(total.item() - 0.02) < 1e-12
 
 
 def test_total_loss_invariant():
     rng = np.random.default_rng(3)
     for _ in range(50):
-        cls = Tensor(float(rng.uniform(0, 3)))
-        terms = [Tensor(float(rng.uniform(0.1, 1))) for _ in range(rng.integers(1, 5))]
+        batch = int(rng.integers(1, 6))
+        logits = Tensor(rng.normal(size=(batch, 3)))
+        labels = rng.integers(0, 3, batch)
+        recs = [routed(rng.normal(size=(batch, 4))) for _ in range(rng.integers(1, 5))]
         lam = float(rng.uniform(0, 0.1))
-        _, bd = total_loss(cls, terms, lam)
-        assert abs(bd.total - (bd.cls + bd.lb_weight * bd.lb)) < 1e-12
+        total, cls, lb = objective(logits, recs, labels, lam)
+        assert abs(total.item() - (cls + lam * lb)) < 1e-12
 
 
 def test_total_loss_rejects_negative_weight():
     with pytest.raises(ContractError):
-        total_loss(Tensor(1.0), [], lb_weight=-0.1)
+        objective(Tensor([[0.0, 0.0]]), [], [0], lb_weight=-0.1)
+
+
+def test_objective_is_written_once():
+    """Only losses.py combines the loss terms; everything else calls objective."""
+    term_call = re.compile(r"\b(cross_entropy|load_balance_loss)\(")
+    sources = {path.name: path.read_text()
+               for path in pathlib.Path(losses.__file__).parent.glob("*.py")}
+    assert term_call.search(sources.pop("losses.py"))
+    assert sorted(name for name, text in sources.items() if term_call.search(text)) == []
 
 
 # -- accuracy ----------------------------------------------------------------

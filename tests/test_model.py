@@ -1,16 +1,19 @@
 """Gaze encoder and assembled network: shapes, modes, counters, gradients."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from gazemoe import experiments
 from gazemoe import tensor as T
 from gazemoe.config import ModelConfig
 from gazemoe.errors import ConfigError, ContractError, DimensionError, ValidationError
 from gazemoe.layers import ResidualBasicBlock
+from gazemoe.losses import objective
 from gazemoe.model import GazeEncoder, HybridMoeNet
 from gazemoe.moe import HybridMoeBlock
 from gazemoe.tensor import Tensor, finite_diff_check
-from gazemoe.train import _forward_losses
 
 
 def toy_config(**overrides):
@@ -195,7 +198,8 @@ def test_parameter_count_matches_config_arithmetic():
     encoder = conv_params(1, 4, 3) + conv_params(4, 8, 3) + linear_params(8, d2)
     projection = linear_params(d2, d2)
     head = linear_params(8, cfg.num_classes)
-    assert net.num_parameters() == stem + stage0 + hybrid + encoder + projection + head
+    total = sum(p.size for p in net.parameters())
+    assert total == stem + stage0 + hybrid + encoder + projection + head
 
 
 def test_float32_switch():
@@ -223,7 +227,7 @@ def test_float32_training_step_stays_float32(monkeypatch):
     img, hm = batch(b=4, size=8)
     images = Tensor(img.data.astype(np.float32))
     heatmaps = Tensor(hm.data.astype(np.float32))
-    _, _, total, _ = _forward_losses(net, images, heatmaps, np.array([0, 1, 2, 0]), 0.01)
+    total, _, _ = objective(*net(images, heatmaps), np.array([0, 1, 2, 0]), 0.01)
     assert total.dtype == np.float32
 
     params = {id(p): name for name, p in net.named_parameters()}
@@ -263,3 +267,20 @@ def test_end_to_end_gradient_check(k):
         max_coords_per_param=4, rng=np.random.default_rng(9),
     )
     assert report.passed, str(report)
+
+
+@pytest.mark.parametrize("k", [
+    pytest.param(1, marks=pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP 'Routers that learn from the task': at top_k=1 the softmax "
+        "over the one selected score is the constant 1.0, so cross-entropy "
+        "gives every router tensor exactly zero gradient"))),
+    2,
+])
+def test_every_router_gets_a_task_loss_gradient(k):
+    net = HybridMoeNet(replace(experiments.TOY_MODEL, top_k=k))
+    img, hm = batch(b=4, size=16)
+    total, _, _ = objective(*net(img, hm), np.array([0, 1, 2, 0]), lb_weight=0.0)
+    T.backward(total)
+    routers = {name: p.grad for name, p in net.named_parameters() if ".router." in name}
+    assert len(routers) == 8
+    assert [name for name, g in routers.items() if g is None or not np.any(g)] == []

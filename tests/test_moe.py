@@ -12,12 +12,12 @@ import oracles
 from gazemoe import tensor as T
 from gazemoe.errors import ConfigError, ContractError
 from gazemoe.layers import router_mlp
+from gazemoe.losses import objective
 from gazemoe.moe import (
     ExpertBank,
     FusionGate,
     HybridMoeBlock,
     MoeBranch,
-    batch_routing_stats,
     write_routing_csv,
 )
 from gazemoe.tensor import Tensor, backward, finite_diff_check
@@ -280,8 +280,8 @@ def test_block_gradients_match_finite_differences(k):
         out, (rec_dd, rec_de) = blk(x, x_exp)
         loss = (out * mask).mean()
         for rec in (rec_dd, rec_de):
-            f_vec, p_bar = batch_routing_stats(rec)
-            loss = loss + T.scale((Tensor(f_vec) * p_bar).sum(), 0.01)
+            p_bar = T.softmax(rec.raw_scores, axis=1).mean(axis=0)
+            loss = loss + T.scale((Tensor(rec.usage) * p_bar).sum(), 0.01)
         return loss
 
     params = blk.named_parameters() + [("x_exp", x_exp)]
@@ -290,7 +290,7 @@ def test_block_gradients_match_finite_differences(k):
     assert report.passed, str(report)
 
 
-# -- routing stats -------------------------------------------------------
+# -- routing stats and the balance term ------------------------------------
 
 
 def record_from_scores(scores, k=1):
@@ -304,45 +304,51 @@ def record_from_scores(scores, k=1):
     return rec
 
 
+def balance_term(rec):
+    """The unweighted balance term ``objective`` reports for one record."""
+    batch = rec.batch_size
+    return objective(Tensor(np.zeros((batch, 2))), [rec], np.zeros(batch, int), 0.01)[2]
+
+
 def test_stats_degenerate_routing():
     rec = record_from_scores([[9.0, 0.0, 0.0, 0.0]] * 5)
-    f, _ = batch_routing_stats(rec)
-    np.testing.assert_array_equal(f, [1.0, 0.0, 0.0, 0.0])
+    np.testing.assert_array_equal(rec.usage, [1.0, 0.0, 0.0, 0.0])
 
 
 def test_stats_uniform_scores():
     rec = record_from_scores(np.zeros((6, 4)))
-    f, p_bar = batch_routing_stats(rec)
-    np.testing.assert_array_equal(p_bar.data, [0.25, 0.25, 0.25, 0.25])
-    np.testing.assert_array_equal(f, [1.0, 0.0, 0.0, 0.0])  # ties all pick expert 0
+    np.testing.assert_array_equal(rec.usage, [1.0, 0.0, 0.0, 0.0])  # ties all pick expert 0
+    assert balance_term(rec) == 0.25  # p_bar is exactly uniform
 
 
 def test_stats_counting_example():
     scores = np.full((4, 4), -1.0)
     for row, expert in enumerate([0, 0, 1, 3]):
         scores[row, expert] = 2.0
-    f, _ = batch_routing_stats(record_from_scores(scores))
-    np.testing.assert_array_equal(f, [0.5, 0.25, 0.0, 0.25])
+    np.testing.assert_array_equal(record_from_scores(scores).usage, [0.5, 0.25, 0.0, 0.25])
 
 
 def test_stats_use_full_softmax_even_when_k1():
-    scores = np.array([[2.0, 1.0, 0.0]])
-    _, p_bar = batch_routing_stats(record_from_scores(scores, k=1))
-    np.testing.assert_allclose(p_bar.data, oracles.softmax_oracle([2.0, 1.0, 0.0]), rtol=1e-12)
+    # the softmax over the one selected score is 1.0; p_bar must not be
+    rec = record_from_scores(np.array([[2.0, 1.0, 0.0]]), k=1)
+    expected = oracles.softmax_oracle([2.0, 1.0, 0.0])[0]
+    np.testing.assert_allclose(balance_term(rec), expected, rtol=1e-12)
 
 
 @given(hnp.arrays(np.float64, (5, 4), elements=st.floats(-30, 30, allow_nan=False)))
 def test_stats_sums(scores):
-    f, p_bar = batch_routing_stats(record_from_scores(scores, k=2))
-    assert abs(f.sum() - 1.0) < 1e-9
+    rec = record_from_scores(scores, k=2)
+    p_bar = T.softmax(rec.raw_scores, axis=1).mean(axis=0)
+    assert abs(rec.usage.sum() - 1.0) < 1e-9
     assert abs(p_bar.data.sum() - 1.0) < 1e-9
+    assert 0.0 <= balance_term(rec) <= 1.0 + 1e-12
 
 
 def test_stats_reject_bad_inputs():
     rec = record_from_scores([[1.0, 0.0]])
     rec.indices = rec.indices[:0]
-    with pytest.raises(ContractError):
-        batch_routing_stats(rec)
+    with pytest.raises(ContractError, match="nonempty"):
+        objective(Tensor(np.zeros((1, 2))), [rec], [0], 0.01)
 
 
 def test_p_bar_is_differentiable_back_to_router():
@@ -350,8 +356,8 @@ def test_p_bar_is_differentiable_back_to_router():
     router = router_mlp(2, 2, rng(50))
     branch.router = router
     _, rec = branch(Tensor(np.zeros((3, 1, 2, 2))), Tensor(rng(51).normal(size=(3, 2))), 0, "DD")
-    f, p_bar = batch_routing_stats(rec)
-    backward((Tensor(f) * p_bar).sum())
+    total, _, _ = objective(Tensor(np.zeros((3, 2))), [rec], [0, 1, 0], 1.0)
+    backward(total)
     assert all(p.grad is not None for _, p in router.named_parameters())
 
 
