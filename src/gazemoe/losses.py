@@ -45,9 +45,10 @@ def load_balance_loss(f: np.ndarray, p_bar: Tensor) -> Tensor:
     f = np.asarray(f, dtype=p_bar.dtype)
     if f.shape != p_bar.shape:
         raise ContractError(f"f has shape {f.shape}, p_bar has shape {p_bar.shape}")
-    if abs(f.sum() - 1.0) > 1e-6:
+    # written as `not <=` so that a NaN sum fails the check too
+    if not abs(f.sum() - 1.0) <= 1e-6:
         raise ContractError(f"usage frequencies must sum to 1, got {f.sum()!r}")
-    if abs(float(p_bar.data.sum()) - 1.0) > 1e-6:
+    if not abs(float(p_bar.data.sum()) - 1.0) <= 1e-6:
         raise ContractError(
             f"routing probabilities must sum to 1, got {float(p_bar.data.sum())!r}"
         )
@@ -65,6 +66,8 @@ def objective(logits: Tensor, records: Sequence[RoutingRecord], labels,
     if lb_weight < 0:
         raise ContractError(f"lb_weight must be >= 0, got {lb_weight}")
     cls = cross_entropy(logits, labels)
+    if not np.isfinite(cls.item()):  # diverged: no balance term; the caller reports it
+        return cls, cls.item(), np.nan
     terms = []
     for rec in records:
         if rec.batch_size == 0:

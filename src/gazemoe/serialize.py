@@ -1,21 +1,26 @@
-"""Binary tensor files and checkpoint directories.
+"""Checkpoint files: a checkpoint directory holds one ``checkpoint.dkt``.
 
-Tensor file layout (all integers little-endian):
+Layout, all integers little-endian:
 
-    magic   4 bytes  b"DKT1"
-    dtype   u8       0 = float64, 1 = float32
-    rank    u8
-    dims    rank x u32
-    payload row-major values, little-endian
+    magic    b"DKC1"
+    config   u32 byte length, then the config text in UTF-8
+    count    u32 number of tensors
+    per tensor:
+      name     u16 byte length, then the name in UTF-8
+      dtype    u8, 0 = float64, 1 = float32
+      dims     u8 rank, then rank x u32
+      payload  row-major values
 
-A checkpoint is a directory of one tensor file per parameter plus a text
-manifest mapping parameter names to files and shapes, plus the model
-config that produced them. Round-trips are bit-exact.
+A save writes a temporary file in the same directory and renames it over
+the old one, so a process that dies mid-save leaves the previous
+checkpoint or the new one, never a mix. Round-trips are bit-exact.
 """
 
 from __future__ import annotations
 
+import math
 import os
+import struct
 from typing import Iterable
 
 import numpy as np
@@ -23,55 +28,24 @@ import numpy as np
 from .errors import FormatError
 from .tensor import Tensor
 
-MAGIC = b"DKT1"
+MAGIC = b"DKC1"
+FILE_NAME = "checkpoint.dkt"
 _DTYPE_TAGS = {np.dtype(np.float64): 0, np.dtype(np.float32): 1}
 _TAG_DTYPES = {0: np.dtype("<f8"), 1: np.dtype("<f4")}
 
-MANIFEST_NAME = "manifest.txt"
-CONFIG_NAME = "config.txt"
 
-
-def write_tensor(path: str | os.PathLike, tensor: Tensor | np.ndarray) -> None:
-    """Write a tensor to ``path`` in the DKT1 format."""
-    arr = tensor.data if isinstance(tensor, Tensor) else np.asarray(tensor)
+def _record(name: str, arr: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """One tensor's header bytes and its little-endian row-major payload."""
     if arr.dtype not in _DTYPE_TAGS:
-        raise FormatError(f"unsupported dtype for tensor file: {arr.dtype}")
-    if arr.ndim > 255:
-        raise FormatError(f"rank {arr.ndim} exceeds format limit of 255")
-    dims = np.asarray(arr.shape, dtype="<u4")
+        raise FormatError(f"parameter {name}: unsupported dtype {arr.dtype}")
     if any(d > 0xFFFFFFFF for d in arr.shape):
-        raise FormatError(f"dimension too large for u32: {arr.shape}")
-    header = MAGIC + bytes([_DTYPE_TAGS[arr.dtype], arr.ndim]) + dims.tobytes()
-    payload = np.ascontiguousarray(arr).astype(arr.dtype.newbyteorder("<"), copy=False)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload.tobytes())
-
-
-def read_tensor(path: str | os.PathLike) -> np.ndarray:
-    """Read one DKT1 tensor file; raises ``FormatError`` on malformed input."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 6:
-        raise FormatError(f"{path}: truncated header ({len(blob)} bytes)")
-    if blob[:4] != MAGIC:
-        raise FormatError(f"{path}: bad magic {blob[:4]!r}, expected {MAGIC!r}")
-    tag, rank = blob[4], blob[5]
-    if tag not in _TAG_DTYPES:
-        raise FormatError(f"{path}: unknown dtype tag {tag}")
-    dims_end = 6 + 4 * rank
-    if len(blob) < dims_end:
-        raise FormatError(f"{path}: truncated dims (rank {rank})")
-    shape = tuple(int(d) for d in np.frombuffer(blob[6:dims_end], dtype="<u4"))
-    dtype = _TAG_DTYPES[tag]
-    expected = dims_end + int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-    if len(blob) != expected:
-        raise FormatError(
-            f"{path}: payload size mismatch, expected {expected} bytes total, got {len(blob)}"
-        )
-    data = np.frombuffer(blob[dims_end:], dtype=dtype)
-    # astype copies out of the read-only buffer and restores native byte order
-    return data.astype(dtype.newbyteorder("=")).reshape(shape)
+        raise FormatError(f"parameter {name}: dimension too large for u32: {arr.shape}")
+    key = name.encode()
+    if len(key) > 0xFFFF:
+        raise FormatError(f"parameter name of {len(key)} bytes exceeds format limit of 65535")
+    header = struct.pack(f"<H{len(key)}sBB{arr.ndim}I", len(key), key,
+                         _DTYPE_TAGS[arr.dtype], arr.ndim, *arr.shape)
+    return header, np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<"))
 
 
 def save_checkpoint(
@@ -79,50 +53,69 @@ def save_checkpoint(
     params: Iterable[tuple[str, Tensor]],
     config_text: str = "",
 ) -> None:
-    """Write every named parameter plus a manifest and the config text."""
+    """Write every named parameter and the config text to
+    ``out_dir/checkpoint.dkt``, replacing any previous one atomically."""
+    # every tensor is checked before a byte is written
+    records = [_record(name, p.data) for name, p in params]
+    config = config_text.encode()
     os.makedirs(out_dir, exist_ok=True)
-    lines = []
-    for i, (name, p) in enumerate(params):
-        fname = f"param_{i:04d}.dkt"
-        write_tensor(os.path.join(out_dir, fname), p)
-        shape_txt = "x".join(str(d) for d in p.shape) if p.ndim else "scalar"
-        lines.append(f"{name}\t{shape_txt}\t{fname}")
-    with open(os.path.join(out_dir, MANIFEST_NAME), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    with open(os.path.join(out_dir, CONFIG_NAME), "w") as fh:
-        fh.write(config_text)
+    path = os.path.join(out_dir, FILE_NAME)
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC + struct.pack("<I", len(config)) + config
+                     + struct.pack("<I", len(records)))
+            fh.writelines(part for record in records for part in record)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # only after a failure: a replaced tmp is gone
+            os.remove(tmp)
 
 
 def load_checkpoint(ckpt_dir: str | os.PathLike) -> tuple[dict[str, np.ndarray], str]:
-    """Read a checkpoint directory back into name->array plus the config text."""
-    manifest_path = os.path.join(ckpt_dir, MANIFEST_NAME)
-    if not os.path.isfile(manifest_path):
-        raise FormatError(f"not a checkpoint directory (no {MANIFEST_NAME}): {ckpt_dir}")
+    """Read a checkpoint directory back into name->array plus the config
+    text; raises ``FormatError`` naming the file on malformed input."""
+    path = os.path.join(ckpt_dir, FILE_NAME)
+    if not os.path.isfile(path):
+        raise FormatError(f"not a checkpoint directory, no such file: {path}")
+    with open(path, "rb") as fh:
+        blob = memoryview(fh.read())
+    pos = 0
+
+    def take(n: int, what: str) -> memoryview:
+        nonlocal pos
+        if pos + n > len(blob):
+            raise FormatError(f"{path}: file ends at byte {len(blob)}, inside {what}")
+        pos += n
+        return blob[pos - n:pos]
+
+    def text(fmt: str, what: str) -> str:  # fmt: struct code of the length prefix
+        (n,) = struct.unpack(fmt, take(struct.calcsize(fmt), what))
+        try:
+            return str(take(n, what), "utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: {what} is not UTF-8: {exc}") from None
+
+    if take(4, "magic") != MAGIC:
+        raise FormatError(f"{path}: bad magic {bytes(blob[:4])!r}, expected {MAGIC!r}")
+    config_text = text("<I", "config text")
+    (count,) = struct.unpack("<I", take(4, "tensor count"))
     arrays: dict[str, np.ndarray] = {}
-    with open(manifest_path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise FormatError(f"{manifest_path}:{lineno}: expected 3 tab-separated fields")
-            name, shape_txt, fname = parts
-            if name in arrays:
-                raise FormatError(f"{manifest_path}:{lineno}: duplicate parameter {name!r}")
-            arr = read_tensor(os.path.join(ckpt_dir, fname))
-            declared = () if shape_txt == "scalar" else tuple(int(s) for s in shape_txt.split("x"))
-            if arr.shape != declared:
-                raise FormatError(
-                    f"{manifest_path}:{lineno}: {name} declared shape {declared}, "
-                    f"file has {arr.shape}"
-                )
-            arrays[name] = arr
-    config_path = os.path.join(ckpt_dir, CONFIG_NAME)
-    if not os.path.isfile(config_path):
-        raise FormatError(f"checkpoint has no {CONFIG_NAME}: {config_path}")
-    with open(config_path) as fh:
-        return arrays, fh.read()
+    for i in range(1, count + 1):
+        name = text("<H", f"tensor {i} of {count}")
+        if name in arrays:
+            raise FormatError(f"{path}: duplicate tensor {name!r}")
+        tag, rank = take(2, name)
+        if tag not in _TAG_DTYPES:
+            raise FormatError(f"{path}: {name}: unknown dtype tag {tag}")
+        shape = struct.unpack(f"<{rank}I", take(4 * rank, name))
+        dtype = _TAG_DTYPES[tag]
+        data = np.frombuffer(take(math.prod(shape) * dtype.itemsize, name), dtype=dtype)
+        # astype copies out of the read-only buffer and restores native byte order
+        arrays[name] = data.astype(dtype.newbyteorder("=")).reshape(shape)
+    if pos != len(blob):
+        raise FormatError(f"{path}: {len(blob) - pos} bytes after the last of {count} tensors")
+    return arrays, config_text
 
 
 def load_into(params: Iterable[tuple[str, Tensor]],
@@ -130,7 +123,7 @@ def load_into(params: Iterable[tuple[str, Tensor]],
     """Copy checkpoint arrays into live (name, tensor) parameters, in place."""
     items = list(params)
     names = {name for name, _ in items}
-    # missing keeps model parameter order, extra keeps manifest line order
+    # missing keeps model parameter order, extra keeps checkpoint file order
     missing = [name for name, _ in items if name not in arrays]
     extra = [name for name in arrays if name not in names]
     if missing or extra:

@@ -25,7 +25,7 @@ from . import tensor as T
 from .config import TrainConfig, config_from_text, config_to_text
 from .data import (SampleManifest, augment, load_groups, load_image,
                    load_manifest, subject_kfold, uniform_class_iter)
-from .errors import ConfigError, ContractError, NumericsError, ValidationError
+from .errors import ConfigError, ContractError, FormatError, NumericsError, ValidationError
 from .losses import objective
 from .metrics import accuracy, macro_auc, routing_purity
 from .model import HybridMoeNet
@@ -307,6 +307,8 @@ def train(config: TrainConfig, manifest_path, out_dir) -> TrainResult:
 def load_model(checkpoint_dir) -> tuple[HybridMoeNet, TrainConfig]:
     """Rebuild the model a checkpoint was saved from and load its weights."""
     arrays, config_text = load_checkpoint(checkpoint_dir)
+    if not config_text:  # the default config would rebuild some other model
+        raise FormatError(f"checkpoint holds no training config: {checkpoint_dir}")
     config = config_from_text(config_text, TrainConfig)
     config.validate()
     model = HybridMoeNet(config.model, config.precision)

@@ -1,0 +1,47 @@
+"""The benchmark's worker runs against the current program on a tiny workload.
+
+``perfbench/worker.py`` times ``train.train`` and ``train.evaluate`` and
+checks what each call returns and writes. This runs the same calls and
+checks on a few-second dataset, so a change that breaks what the
+benchmark reads (the checkpoint directory, the traced spans, the
+returned reports) fails here rather than only in a benchmark run.
+"""
+
+import os
+import sys
+
+from gazemoe.data import load_manifest
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                                "perfbench"))
+import worker  # noqa: E402
+import workloads  # noqa: E402
+
+TINY = workloads.Workload(
+    name="tiny", kind="train",
+    spec=dict(task="blob", num_subjects=10, samples_per_subject=4, image_size=32,
+              num_classes=3),
+    config_text=workloads.README_TRAIN_CFG, epochs=1,
+)
+
+
+def test_worker_calls_pass_their_checks(tmp_path):
+    manifest = workloads.generate_inputs(TINY, 0, str(tmp_path)).manifest
+    sample_ids = [m.sample_id for m in load_manifest(manifest)]
+    out_dir = str(tmp_path / "run")  # one output directory per run, as the worker
+    calls = [worker.timed_call("train", TINY, manifest, out_dir, traced)
+             for traced in (False, True)]
+    for call in calls:
+        assert worker.check_call(call, calls[0], sample_ids) == []
+    assert worker.check_files("train", TINY, manifest, calls[-1]) == []
+    layers = calls[1]["layers"]
+    assert layers["serialize.save_checkpoint.calls"] >= 2  # best at epoch 0, final
+    # each save leaves exactly one file in its checkpoint directory
+    assert layers["serialize.files_written"] == layers["serialize.save_checkpoint.calls"]
+
+    ckpt = calls[0]["outputs"]["final_dir"]
+    evals = [worker.timed_call("eval", TINY, manifest, "", traced, ckpt)
+             for traced in (False, True)]
+    for call in evals:
+        assert worker.check_call(call, evals[0], sample_ids) == []
+    assert worker.check_files("eval", TINY, manifest, evals[-1], ckpt) == []

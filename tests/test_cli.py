@@ -4,7 +4,6 @@
 import ast
 import os
 import re
-import shutil
 import subprocess
 import sys
 
@@ -16,7 +15,8 @@ from gazemoe.cli import main
 from gazemoe.config import SyntheticSpec, TrainConfig, config_from_text, load_config
 from gazemoe.data import SampleManifest, load_manifest, write_manifest, write_pgm
 from gazemoe.errors import ConfigError
-from gazemoe.serialize import load_checkpoint
+from gazemoe.serialize import load_checkpoint, save_checkpoint
+from gazemoe.tensor import Tensor
 from gazemoe.train import run_gradcheck
 
 REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
@@ -336,25 +336,42 @@ class TestEval:
     def test_checkpoint_without_config_exits_1_naming_it(self, workspace,
                                                          tmp_path, capsys):
         # evaluating with the default config would score another model
+        arrays, _ = load_checkpoint(workspace["checkpoint"])
         ckpt = os.path.join(tmp_path, "no_config")
-        shutil.copytree(workspace["checkpoint"], ckpt)
-        os.remove(os.path.join(ckpt, "config.txt"))
+        save_checkpoint(ckpt, [(k, Tensor(a)) for k, a in arrays.items()], "")
         assert run_cli(["eval", "--checkpoint", ckpt,
                         "--manifest", workspace["manifest"]]) == 1
-        assert_one_line_error(capsys.readouterr().err,
-                              os.path.join(ckpt, "config.txt"))
+        assert_one_line_error(capsys.readouterr().err, "no training config", ckpt)
+
+    def test_directory_without_checkpoint_file_exits_1_naming_it(self, workspace,
+                                                                  tmp_path, capsys):
+        # includes the retired layout: manifest.txt, config.txt, param_NNNN.dkt
+        old = os.path.join(tmp_path, "old_layout")
+        os.makedirs(old)
+        _, config_text = load_checkpoint(workspace["checkpoint"])
+        for name, text in (("manifest.txt", "stem.w\t4x1x3x3\tparam_0000.dkt\n"),
+                           ("config.txt", config_text), ("param_0000.dkt", "")):
+            with open(os.path.join(old, name), "w") as fh:
+                fh.write(text)
+        for ckpt in (old, str(tmp_path)):
+            for argv in (["eval", "--checkpoint", ckpt, "--manifest", workspace["manifest"]],
+                         ["route-dump", "--checkpoint", ckpt, "--manifest",
+                          workspace["manifest"], "--out", os.path.join(tmp_path, "r.csv")]):
+                assert run_cli(argv) == 1, argv
+                assert_one_line_error(capsys.readouterr().err,
+                                      os.path.join(ckpt, "checkpoint.dkt"))
+        assert not os.path.exists(os.path.join(tmp_path, "r.csv"))
 
     def test_old_parameter_names_exit_1_with_short_message(self, workspace,
                                                            tmp_path, capsys):
         # checkpoints once nested blocks in stages and router MLPs in a wrapper
+        arrays, config_text = load_checkpoint(workspace["checkpoint"])
+        renamed = []
+        for name, a in arrays.items():
+            name = re.sub(r"^blocks\.(\d+)\.", r"stages.\1.blocks.0.", name)
+            renamed.append((name.replace(".router.", ".router.mlp."), Tensor(a)))
         old = os.path.join(tmp_path, "old")
-        shutil.copytree(workspace["checkpoint"], old)
-        manifest = os.path.join(old, "manifest.txt")
-        with open(manifest) as fh:
-            text = fh.read()
-        text = re.sub(r"^blocks\.(\d+)\.", r"stages.\1.blocks.0.", text, flags=re.M)
-        with open(manifest, "w") as fh:
-            fh.write(text.replace(".router.", ".router.mlp."))
+        save_checkpoint(old, renamed, config_text)
         assert run_cli(["eval", "--checkpoint", old,
                         "--manifest", workspace["manifest"]]) == 1
         err = capsys.readouterr().err

@@ -107,6 +107,14 @@ def test_lb_rejects_unnormalized_inputs():
         load_balance_loss(np.array([1.0]), Tensor([0.5, 0.5]))
 
 
+def test_lb_rejects_nan_inputs():
+    # abs(nan - 1) > tol is False, so a NaN sum must fail an `is within` test
+    with pytest.raises(ContractError, match="usage frequencies must sum to 1"):
+        load_balance_loss(np.array([np.nan, np.nan]), Tensor([0.5, 0.5]))
+    with pytest.raises(ContractError, match="routing probabilities must sum to 1"):
+        load_balance_loss(np.array([0.5, 0.5]), Tensor([np.nan, np.nan]))
+
+
 def test_lb_gradient_flows_through_p_bar_only():
     scores = Tensor(np.random.default_rng(2).normal(size=(5, 4)), requires_grad=True)
     p_bar = T.softmax(scores, axis=1).mean(axis=0)
@@ -175,6 +183,14 @@ def test_total_loss_invariant():
 def test_total_loss_rejects_negative_weight():
     with pytest.raises(ContractError):
         objective(Tensor([[0.0, 0.0]]), [], [0], lb_weight=-0.1)
+
+
+def test_objective_with_non_finite_logits_returns_non_finite_total():
+    # a diverged forward: routing probabilities are NaN too, and the caller
+    # (the train step) reports the non-finite total instead of a contract error
+    rec = routed([[np.nan, 0.0]])
+    total, cls, lb = objective(Tensor([[np.nan, 0.0]]), [rec], [0], lb_weight=0.01)
+    assert math.isnan(total.item()) and math.isnan(cls) and math.isnan(lb)
 
 
 def test_objective_is_written_once():

@@ -14,7 +14,8 @@ from gazemoe.config import AugmentConfig, ModelConfig, SyntheticSpec, TrainConfi
 from gazemoe.data import generate_synthetic, load_manifest, write_manifest
 from gazemoe.errors import ConfigError, FormatError, NumericsError
 from gazemoe.metrics import usage_entropy
-from gazemoe.serialize import load_checkpoint
+from gazemoe.serialize import load_checkpoint, save_checkpoint
+from gazemoe.tensor import Tensor
 from gazemoe.train import evaluate, load_model, route_dump, train
 
 
@@ -176,16 +177,18 @@ class TestCheckpoints:
         for name, p in model.named_parameters():
             np.testing.assert_array_equal(p.data, arrays[name])
 
-    def test_tampered_config_fails_shape_check(self, run, tmp_path):
-        import shutil
+    def test_each_checkpoint_is_one_file(self, run):
         _, res = run
-        broken = os.path.join(tmp_path, "broken")
-        shutil.copytree(res.final_dir, broken)
-        cfg_path = os.path.join(broken, "config.txt")
-        text = open(cfg_path).read()
+        for ckpt in (res.best_dir, res.final_dir):
+            assert os.listdir(ckpt) == ["checkpoint.dkt"]
+
+    def test_tampered_config_fails_shape_check(self, run, tmp_path):
+        _, res = run
+        arrays, text = load_checkpoint(res.final_dir)
         assert "model.stem_channels=4" in text
-        with open(cfg_path, "w") as fh:
-            fh.write(text.replace("model.stem_channels=4", "model.stem_channels=6"))
+        broken = os.path.join(tmp_path, "broken")
+        save_checkpoint(broken, [(k, Tensor(a)) for k, a in arrays.items()],
+                        text.replace("model.stem_channels=4", "model.stem_channels=6"))
         with pytest.raises(FormatError):
             load_model(broken)
 
