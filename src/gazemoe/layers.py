@@ -65,7 +65,12 @@ class Linear(Module):
 
 
 class Conv2d(Module):
-    """3x3/1x1-style conv with bias, thin wrapper over the conv2d op."""
+    """3x3/1x1-style conv with bias, thin wrapper over the conv2d op.
+
+    ``conv(x, residual=r, relu=True)`` is ``relu(conv(x) + b + r)`` as one
+    graph node: the op adds the bias, the residual and the relu to each
+    output chunk right after its GEMM.
+    """
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
                  rng: np.random.Generator, stride: int = 1, pad: int = 0):
@@ -80,9 +85,9 @@ class Conv2d(Module):
         )
         self.b = Tensor(np.zeros(out_channels), requires_grad=True)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        out = T.conv2d(x, self.w, stride=self.stride, pad=self.pad)
-        return out + self.b.reshape(1, self.out_channels, 1, 1)
+    def __call__(self, x: Tensor, residual: Tensor | None = None, relu: bool = False) -> Tensor:
+        return T.conv2d(x, self.w, stride=self.stride, pad=self.pad, bias=self.b,
+                        residual=residual, relu=relu)
 
 
 class ResidualBasicBlock(Module):
@@ -101,13 +106,8 @@ class ResidualBasicBlock(Module):
             self.proj = Conv2d(in_channels, out_channels, 1, rng, stride=stride, pad=0)
 
     def __call__(self, x: Tensor) -> Tensor:
-        branch = self.conv2(T.relu(self.conv1(x)))
         skip = x if self.proj is None else self.proj(x)
-        if branch.shape != skip.shape:
-            raise ContractError(
-                f"residual branch {branch.shape} does not match skip {skip.shape}"
-            )
-        return T.relu(branch + skip)
+        return self.conv2(self.conv1(x, relu=True), residual=skip, relu=True)
 
 
 class Mlp(Module):

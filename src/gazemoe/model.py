@@ -48,7 +48,7 @@ class GazeEncoder(Module):
             )
         x = heatmap
         for conv in self.convs:
-            x = T.relu(conv(x))
+            x = conv(x, relu=True)
         return self.proj(x.mean(axis=(2, 3)))
 
 
@@ -133,7 +133,7 @@ class HybridMoeNet(Module):
                 )
             x_exp = self.gaze_encoder(heatmap)
 
-        x = T.relu(self.stem(image))
+        x = self.stem(image, relu=True)
         records: list[RoutingRecord] = []
         projs = iter(self.gaze_projs)
         for blk in self.blocks:

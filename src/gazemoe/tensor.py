@@ -18,6 +18,12 @@ output (forward) or the kernel gradient (backward). A stride-1 conv with a
 square kernel wider than its padding gets its input gradient as a conv of
 the output gradient with the flipped kernel; every other conv folds each
 chunk's ``w.T @ g`` back into the input.
+
+``conv2d`` also takes an optional epilogue: right after each chunk's GEMM
+it adds the bias, then the residual, then applies relu, in place on that
+chunk. These are the float operations the separate ``add`` and ``relu``
+ops would run, so results are bit-identical, but the graph keeps one
+output array per conv instead of one per step.
 """
 
 from __future__ import annotations
@@ -63,7 +69,8 @@ class Tensor:
         arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(DEFAULT_DTYPE)
-        self.data = np.ascontiguousarray(arr)
+        # np.ascontiguousarray would promote a 0-d array to shape (1,)
+        self.data = arr if arr.flags.c_contiguous else np.ascontiguousarray(arr)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         # set by _make_op for non-leaf tensors
@@ -398,39 +405,60 @@ def _patch_chunks(x: np.ndarray, kh: int, kw: int, stride: int, pad: int, oh: in
         yield b0, cols.reshape(C * kh * kw, n, oh * ow)
 
 
-def _conv_forward(x: np.ndarray, w: np.ndarray, stride: int, pad: int) -> np.ndarray:
+def _conv_forward(x: np.ndarray, w: np.ndarray, stride: int, pad: int,
+                  bias: np.ndarray | None = None, residual: np.ndarray | None = None,
+                  relu: bool = False) -> np.ndarray:
     """Cross-correlate [B,C,H,W] with [O,C,kh,kw] -> contiguous [B,O,H',W'].
 
-    Each chunk's GEMM writes its samples' rows of the output directly.
+    Each chunk's GEMM writes its samples' rows of the output directly, and
+    the epilogue (``+ bias``, ``+ residual``, then relu) runs on those rows
+    in place while they are still in cache.
     """
     B, _, H, W = x.shape
     O, _, kh, kw = w.shape
     oh = (H + 2 * pad - kh) // stride + 1
     ow = (W + 2 * pad - kw) // stride + 1
     wmat = w.reshape(O, -1)  # [O, CK]
-    out = np.empty((B, O, oh * ow), dtype=np.result_type(x, w))
+    extra = [a for a in (bias, residual) if a is not None]
+    out = np.empty((B, O, oh * ow), dtype=np.result_type(x, w, *extra))
     for b0, cols in _patch_chunks(x, kh, kw, stride, pad, oh, ow):
-        np.matmul(wmat, cols.transpose(1, 0, 2), out=out[b0 : b0 + cols.shape[1]])
+        o = out[b0 : b0 + cols.shape[1]]
+        np.matmul(wmat, cols.transpose(1, 0, 2), out=o)
+        if bias is not None:
+            o += bias[:, None]
+        if residual is not None:
+            o += residual[b0 : b0 + cols.shape[1]].reshape(o.shape)
+        if relu:
+            np.maximum(o, 0.0, out=o)
     return out.reshape(B, O, oh, ow)
 
 
-def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
-    """2-d cross-correlation with zero padding.
+def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0, bias: Tensor | None = None,
+           residual: Tensor | None = None, relu: bool = False) -> Tensor:
+    """2-d cross-correlation with zero padding and a fused epilogue.
 
     x: [B,C,H,W], w: [O,C,kh,kw] -> [B,O,H',W'] with
-    H' = (H + 2*pad - kh)//stride + 1.
+    H' = (H + 2*pad - kh)//stride + 1. The epilogue computes
+    ``relu(conv + bias[None, :, None, None] + residual)``, each part
+    optional (bias [O], residual [B,O,H',W']), in that order and with the
+    same float operations as the separate ops, so the result is bit for bit
+    theirs; the graph keeps one array for the whole chain instead of one per
+    step.
 
     Lowered to GEMMs over a channel-major patch matrix of shape
     [C*kh*kw, B*H'*W'] that is never built whole: ``_patch_chunks`` fills
     it a few samples at a time in one reused ~1 MiB buffer. Forward GEMMs
-    each chunk with ``w`` straight into the output. Backward rebuilds the
-    chunks from ``x`` (keeping them would hold a patch matrix per conv in
-    the graph) and sums ``g @ cols.T`` per chunk for the kernel. The input
-    gradient, when ``x`` needs one, is a stride-1 conv of ``g`` with the
-    flipped, transposed kernel and padding ``k - 1 - pad`` if ``stride == 1``
-    and the kernel is a square k x k with ``pad < k`` (its output is exactly
-    H x W); otherwise each chunk's ``w.T @ g`` is folded back with one
-    slice-add per kernel offset.
+    each chunk with ``w`` straight into the output and applies the
+    epilogue to that chunk. Backward masks ``g`` by ``out > 0`` when relu
+    is fused (exactly where the pre-activation is > 0), which is then the
+    residual's gradient; the bias gets its sum over (B, H', W'). It then
+    rebuilds the chunks from ``x`` (keeping them would hold a patch matrix
+    per conv in the graph) and sums ``g @ cols.T`` per chunk for the kernel.
+    The input gradient, when ``x`` needs one, is a stride-1 conv of ``g``
+    with the flipped, transposed kernel and padding ``k - 1 - pad`` if
+    ``stride == 1`` and the kernel is a square k x k with ``pad < k`` (its
+    output is exactly H x W); otherwise each chunk's ``w.T @ g`` is folded
+    back with one slice-add per kernel offset.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise DimensionError(f"conv2d expects 4-d input and kernel, got {x.shape} and {w.shape}")
@@ -444,10 +472,21 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
         raise DimensionError(
             f"kernel {kh}x{kw} larger than padded input {H + 2 * pad}x{W + 2 * pad}"
         )
-    out = _conv_forward(x.data, w.data, stride, pad)
-    oh, ow = out.shape[2:]
+    oh = (H + 2 * pad - kh) // stride + 1
+    ow = (W + 2 * pad - kw) // stride + 1
+    if bias is not None and bias.shape != (O,):
+        raise DimensionError(f"conv2d bias must have shape ({O},), got {bias.shape}")
+    if residual is not None and residual.shape != (B, O, oh, ow):
+        raise DimensionError(
+            f"conv2d residual {residual.shape} does not match output {(B, O, oh, ow)}"
+        )
+    out = _conv_forward(x.data, w.data, stride, pad,
+                        None if bias is None else bias.data,
+                        None if residual is None else residual.data, relu)
 
     def back(g):
+        if relu:
+            g = g * (out > 0)
         transposed_dx = x.requires_grad and stride == 1 and kh == kw and pad < kh
         folded_dx = x.requires_grad and not transposed_dx
         wmat = w.data.reshape(O, -1)
@@ -465,16 +504,22 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
                     for j in range(kw):
                         dxp[:, b0 : b0 + n, i : i + stride * oh : stride,
                             j : j + stride * ow : stride] += dcols[:, i, j]
-        gw = gw.reshape(w.shape)
         if transposed_dx:
             wflip = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-            return _conv_forward(g, wflip, 1, kh - 1 - pad), gw
-        if folded_dx:
-            dx = dxp[:, :, pad : pad + H, pad : pad + W].transpose(1, 0, 2, 3)
-            return np.ascontiguousarray(dx), gw
-        return None, gw
+            dx = _conv_forward(g, wflip, 1, kh - 1 - pad)
+        elif folded_dx:
+            dx = np.ascontiguousarray(dxp[:, :, pad : pad + H, pad : pad + W].transpose(1, 0, 2, 3))
+        else:
+            dx = None
+        grads = [dx, gw.reshape(w.shape)]
+        if bias is not None:
+            grads.append(g.sum(axis=(0, 2, 3)))
+        if residual is not None:
+            grads.append(g)
+        return grads
 
-    return _make_op(out, (x, w), back)
+    parents = [t for t in (x, w, bias, residual) if t is not None]
+    return _make_op(out, parents, back)
 
 
 # -- index ops (values move, gradients follow; indices are constants) --

@@ -74,8 +74,8 @@ def _assemble(rows, cache, dtype, augment_cfg=None, rng=None):
         heatmaps.append(heat)
         labels.append(m.label)
     return (
-        Tensor(np.stack(images).astype(dtype)),
-        Tensor(np.stack(heatmaps).astype(dtype)),
+        Tensor(np.stack(images).astype(dtype, copy=False)),
+        Tensor(np.stack(heatmaps).astype(dtype, copy=False)),
         np.array(labels, dtype=np.int64),
     )
 

@@ -11,6 +11,8 @@ import os
 import sys
 
 from gazemoe.data import load_manifest
+from gazemoe.layers import Conv2d, Module
+from gazemoe.model import HybridMoeNet
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                                 "perfbench"))
@@ -23,6 +25,15 @@ TINY = workloads.Workload(
               num_classes=3),
     config_text=workloads.README_TRAIN_CFG, epochs=1,
 )
+
+
+def _conv_layers(module):
+    for value in vars(module).values():
+        for item in value if isinstance(value, (list, tuple)) else [value]:
+            if isinstance(item, Conv2d):
+                yield item
+            elif isinstance(item, Module):
+                yield from _conv_layers(item)
 
 
 def test_worker_calls_pass_their_checks(tmp_path):
@@ -38,6 +49,12 @@ def test_worker_calls_pass_their_checks(tmp_path):
     assert layers["serialize.save_checkpoint.calls"] >= 2  # best at epoch 0, final
     # each save leaves exactly one file in its checkpoint directory
     assert layers["serialize.files_written"] == layers["serialize.save_checkpoint.calls"]
+    # the census reads each conv's stride from the op's arguments; a signature
+    # change it misreads would show up here as a wrong or missing shape
+    model = HybridMoeNet(TINY.train_config().model)
+    assert {(row["C"], row["O"], row["k"], row["stride"]) for row in calls[1]["census"]} == {
+        (conv.in_channels, conv.out_channels, conv.kernel_size, conv.stride)
+        for conv in _conv_layers(model)}
 
     ckpt = calls[0]["outputs"]["final_dir"]
     evals = [worker.timed_call("eval", TINY, manifest, "", traced, ckpt)

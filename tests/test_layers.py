@@ -1,5 +1,7 @@
 """Layer forwards against straight-line compositions and finite differences."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,23 @@ def test_block_gradients():
         max_coords_per_param=8,
     )
     assert report.passed, str(report)
+
+
+@pytest.mark.parametrize("out_ch,stride,bound", [(8, 1, 2.5), (16, 2, 3.5)])
+def test_block_forward_keeps_one_array_per_conv(out_ch, stride, bound):
+    # conv, bias, residual add and relu run as one op, so a training forward
+    # keeps each conv's output and nothing else: 2x the block output with an
+    # identity skip, 3x with a projection (the unfused chain kept 7x and 9x)
+    blk = ResidualBasicBlock(8, out_ch, rng(), stride=stride)
+    x = Tensor(np.random.default_rng(6).normal(size=(64, 8, 32, 32)))
+    tracemalloc.start()
+    try:
+        out = blk(x)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad
+    assert kept < bound * out.data.nbytes, kept / out.data.nbytes
 
 
 # -- mlp -----------------------------------------------------------------

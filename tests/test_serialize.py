@@ -62,7 +62,7 @@ def test_f64_tag_is_zero(tmp_path):
 @given(
     hnp.arrays(
         st.sampled_from([np.float64, np.float32]),
-        hnp.array_shapes(min_dims=1, max_dims=4, min_side=0, max_side=5),
+        hnp.array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=5),
         elements=st.floats(-1e6, 1e6, allow_nan=False, width=32),
     )
 )

@@ -213,6 +213,72 @@ def test_conv2d_bad_stride():
         T.conv2d(Tensor(np.zeros((1, 1, 4, 4))), Tensor(np.zeros((1, 1, 2, 2))), stride=0)
 
 
+# subsets of the fused epilogue; the layers use bias, bias + relu and all three
+EPILOGUES = [
+    dict(bias=True, residual=False, relu=False),
+    dict(bias=False, residual=False, relu=True),
+    dict(bias=True, residual=False, relu=True),
+    dict(bias=True, residual=True, relu=False),
+    dict(bias=True, residual=True, relu=True),
+]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("geometry", list(CONV_GEOMETRIES))
+def test_conv2d_epilogue_matches_unfused_ops_bitwise(geometry, dtype, monkeypatch):
+    x_shape, w_shape, stride, pad = CONV_GEOMETRIES[geometry]
+    # five samples at two per patch chunk, as in the oracle test
+    x_shape = (5,) + x_shape[1:]
+    (B, C, H, W), (O, _, kh, kw) = x_shape, w_shape
+    oh, ow = (H + 2 * pad - kh) // stride + 1, (W + 2 * pad - kw) // stride + 1
+    monkeypatch.setattr(T, "_PATCH_BYTES", 2 * C * kh * kw * oh * ow * np.dtype(dtype).itemsize)
+    rng = np.random.default_rng(zlib.crc32(geometry.encode()))
+    data = {name: rng.normal(size=shape).astype(dtype) for name, shape in
+            (("x", x_shape), ("w", w_shape), ("b", (O,)), ("r", (B, O, oh, ow)))}
+    g = Tensor(rng.normal(size=(B, O, oh, ow)).astype(dtype))
+
+    def run(epilogue, fused):
+        t = {name: Tensor(a, requires_grad=True) for name, a in data.items()}
+        bias = t["b"] if epilogue["bias"] else None
+        residual = t["r"] if epilogue["residual"] else None
+        if fused:
+            out = T.conv2d(t["x"], t["w"], stride, pad, bias=bias, residual=residual,
+                           relu=epilogue["relu"])
+        else:
+            out = T.conv2d(t["x"], t["w"], stride=stride, pad=pad)
+            if bias is not None:
+                out = out + bias.reshape(1, O, 1, 1)
+            if residual is not None:
+                out = out + residual
+            if epilogue["relu"]:
+                out = T.relu(out)
+        backward((out * g).sum())
+        return out.data, {name: v.grad for name, v in t.items()}
+
+    for epilogue in EPILOGUES:
+        (fused, fused_grads), (plain, plain_grads) = run(epilogue, True), run(epilogue, False)
+        assert fused.dtype == dtype
+        assert np.array_equal(fused, plain), epilogue
+        for name, grad in plain_grads.items():
+            if grad is None:
+                assert fused_grads[name] is None, (epilogue, name)
+            else:
+                assert fused_grads[name].dtype == dtype
+                assert np.array_equal(fused_grads[name], grad), (epilogue, name)
+
+
+def test_conv2d_epilogue_rejects_bad_bias_and_residual_shapes():
+    x, w = Tensor(np.zeros((2, 3, 5, 5))), Tensor(np.zeros((4, 3, 3, 3)))
+    for bias in (np.zeros(3), np.zeros(5), np.zeros((1, 4, 1, 1))):
+        with pytest.raises(DimensionError, match="bias"):
+            T.conv2d(x, w, pad=1, bias=Tensor(bias))
+    # the output is [2, 4, 5, 5] at pad 1 and [2, 4, 3, 3] at pad 0
+    for residual, pad in (((2, 4, 3, 3), 1), ((2, 4, 5, 5), 0), ((1, 4, 5, 5), 1),
+                          ((2, 3, 5, 5), 1)):
+        with pytest.raises(DimensionError, match="residual"):
+            T.conv2d(x, w, pad=pad, residual=Tensor(np.zeros(residual)))
+
+
 # -- pooling -------------------------------------------------------------
 
 
@@ -489,6 +555,15 @@ def _fd_case(name):
     if name == "sum_broadcast":
         a = away_from_zero((3, 5))
         return [("a", a)], lambda: (a * a.sum(axis=0)).sum()
+    if name == "conv2d-epilogue":
+        x, w, b = away_from_zero((2, 3, 6, 6)), away_from_zero((4, 3, 3, 3)), away_from_zero((4,))
+        with no_grad():
+            pre = T.conv2d(x, w, stride=1, pad=1, bias=b).data
+        # the residual puts every pre-activation 0.2 to 1.5 away from the relu kink
+        r = away_from_zero(pre.shape)
+        r.data -= pre
+        return [("x", x), ("w", w), ("b", b), ("r", r)], lambda: sum_sq(
+            T.conv2d(x, w, stride=1, pad=1, bias=b, residual=r, relu=True))
     if name == "conv2d" or name.startswith("conv2d-"):
         x_shape, w_shape, stride, pad = (
             ((2, 2, 5, 5), (3, 2, 3, 3), 2, 1) if name == "conv2d"
@@ -521,7 +596,8 @@ def _fd_case(name):
 FD_CASES = [
     "add_broadcast", "mul_broadcast", "sub_neg_scale",
     "matmul", "relu", "sigmoid", "softmax", "log_softmax", "mean_axis",
-    "sum_broadcast", "conv2d", "mean_spatial", "concat_transpose", "index_ops",
+    "sum_broadcast", "conv2d", "conv2d-epilogue", "mean_spatial", "concat_transpose",
+    "index_ops",
 ] + [f"conv2d-{geometry}" for geometry in MODEL_CONV_GEOMETRIES]
 
 
@@ -617,6 +693,12 @@ def test_composite_gradient_matches_closed_form(theta_data, w_data):
 def test_tensor_defaults_to_float64():
     assert Tensor([1, 2, 3]).dtype == np.float64
     assert Tensor(np.array([1.0], dtype=np.float32)).dtype == np.float32
+
+
+def test_tensor_keeps_zero_dim_arrays_zero_dim():
+    assert Tensor(2.0).shape == ()
+    assert Tensor(np.arange(3.0)).sum().shape == ()
+    assert Tensor(2.0).item() == 2.0
 
 
 def test_item_requires_scalar():
