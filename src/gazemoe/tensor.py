@@ -3,8 +3,23 @@
 Tensors wrap a numpy array (float64 by default, float32 optional). Every
 differentiable operation records its inputs and a backward rule on the
 output tensor; ``backward`` orders the recorded graph by a depth-first
-walk and propagates adjoints through it once, in reverse order. Gradients
-accumulate into ``.grad`` until ``zero_grad`` is called.
+walk and propagates adjoints through it once, in reverse order. The walk
+consumes the graph: each node drops its inputs and rule before the rule
+runs, so an intermediate array is freed as soon as its last consumer has
+passed its adjoint on, and a training step's graph is gone before the
+next forward builds its own. Differentiating a consumed graph again
+raises ``ContractError``. Gradients from separate graphs accumulate into
+``.grad`` until ``zero_grad`` is called.
+
+At import the module asks glibc's allocator to keep freed memory for
+reuse: blocks up to 32 MiB (its 64-bit maximum) come from the heap
+rather than from fresh ``mmap`` pages, and the heap is trimmed back to
+the kernel only once 1 GiB sits free at its top. A training step frees
+and reallocates the same multi-MB activations every step; with glibc's
+defaults each of them came back as new pages, which cost a page fault
+per 4 KiB: about 82k minor faults per quickstart training call and 50k
+per 1000-sample evaluation on a 2-vCPU Xeon, against none with this
+policy. Where ``mallopt`` is missing (not glibc) this is skipped.
 
 Top-k style index selection is deliberately *not* differentiable: the
 indexing ops (``take_rows`` etc.) move values around and route gradients
@@ -28,6 +43,7 @@ output array per conv instead of one per step.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -36,6 +52,25 @@ import numpy as np
 from .errors import ContractError, DimensionError
 
 DEFAULT_DTYPE = np.float64
+
+# glibc mallopt parameters, from <malloc.h>
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_pages() -> None:
+    """Serve blocks up to 32 MiB from the heap and trim it only past 1 GiB free."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+
+
+_keep_freed_pages()
 
 _grad_enabled = True
 
@@ -173,14 +208,19 @@ def backward(loss: Tensor) -> None:
     """Reverse-mode pass from a scalar loss.
 
     Populates ``.grad`` on every tensor with ``requires_grad`` reachable
-    from ``loss``. Repeated calls without ``zero_grad`` accumulate.
+    from ``loss``. The graph is walked once and freed as it is walked:
+    every op node loses its inputs and backward rule, so the arrays they
+    saved go as soon as nothing else names them. Calling ``backward``
+    again on the same loss, or on a new graph that reuses one of its
+    intermediates, raises ``ContractError``. Calls over separate graphs
+    accumulate into ``.grad`` until ``zero_grad``.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
     if not loss.requires_grad:
         raise ContractError("loss does not require grad; nothing to differentiate")
     # iterative post-order DFS: every op node lands after its inputs
-    nodes: list[Tensor] = []
+    nodes: list[Tensor | None] = []
     visited: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(loss, False)]
     while stack:
@@ -199,11 +239,18 @@ def backward(loss: Tensor) -> None:
 
     adjoint: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     loss.accumulate_grad(adjoint[id(loss)])
-    for node in reversed(nodes):
+    for i in range(len(nodes) - 1, -1, -1):
+        node = nodes[i]
+        # unhook the node first: once its rule has run, nothing but the
+        # caller's own names keeps its inputs or their saved arrays alive
+        parents, back = node._parents, node._backward
+        node._parents = ()
+        node._backward = _consumed
+        nodes[i] = None
         g = adjoint.pop(id(node), None)
         if g is None:
             continue
-        for parent, pg in zip(node._parents, node._backward(g)):
+        for parent, pg in zip(parents, back(g)):
             if pg is None or not parent.requires_grad:
                 continue
             key = id(parent)
@@ -212,9 +259,16 @@ def backward(loss: Tensor) -> None:
             else:
                 adjoint[key] = pg
         # leaves are never op nodes, so flush their adjoints here
-        for parent in node._parents:
+        for parent in parents:
             if parent.requires_grad and parent.is_leaf and id(parent) in adjoint:
                 parent.accumulate_grad(adjoint.pop(id(parent)))
+
+
+def _consumed(g):
+    raise ContractError(
+        "this graph was already differentiated: backward frees a graph as it "
+        "walks it, so rebuild the forward pass before calling backward again"
+    )
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

@@ -49,6 +49,10 @@ def test_worker_calls_pass_their_checks(tmp_path):
     assert layers["serialize.save_checkpoint.calls"] >= 2  # best at epoch 0, final
     # each save leaves exactly one file in its checkpoint directory
     assert layers["serialize.files_written"] == layers["serialize.save_checkpoint.calls"]
+    # per-op backward spans come from the _backward wrapper the tracer sets at
+    # forward time; a tape walk that skipped or lost it would zero these
+    assert layers["tensor.graph_ops_per_step"] > 0
+    assert layers["tensor.conv2d.bwd_s"] > 0
     # the census reads each conv's stride from the op's arguments; a signature
     # change it misreads would show up here as a wrong or missing shape
     model = HybridMoeNet(TINY.train_config().model)

@@ -2,17 +2,24 @@
 2 internal), --set overrides, and printed summaries."""
 
 import ast
+import contextlib
+import dataclasses
+import io
 import os
 import re
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gazemoe import cli, experiments
 from gazemoe.cli import main
-from gazemoe.config import SyntheticSpec, TrainConfig, config_from_text, load_config
+from gazemoe.config import (AugmentConfig, ModelConfig, SyntheticSpec, TrainConfig,
+                            config_from_text, load_config)
 from gazemoe.data import SampleManifest, load_manifest, write_manifest, write_pgm
 from gazemoe.errors import ConfigError
 from gazemoe.serialize import load_checkpoint, save_checkpoint
@@ -301,6 +308,29 @@ class TestTrain:
                         "--out", os.path.join(tmp_path, "x"),
                         "--set", "lr=1e200"]) == 2
         assert "internal error" in capsys.readouterr().err
+
+    OVERRIDE_KEYS = (
+        [f.name for f in dataclasses.fields(TrainConfig) if f.name not in ("model", "augment")]
+        + [f"model.{f.name}" for f in dataclasses.fields(ModelConfig)]
+        + [f"augment.{f.name}" for f in dataclasses.fields(AugmentConfig)]
+        + ["lambda", "n", "k", "model", "warp_factor", "model.warp", "augment.enabled.on"]
+    )
+    OVERRIDE_VALUES = ["0", "-1", "nan", "1e309", "abc", "", "1,0", "3", "5:0", "1:0", "0.5",
+                       "float32"]
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(OVERRIDE_KEYS), st.sampled_from(OVERRIDE_VALUES)),
+                    min_size=1, max_size=3))
+    def test_any_override_exits_0_or_1_with_one_error_line(self, workspace, overrides):
+        sets = [arg for key, value in overrides for arg in ("--set", f"{key}={value}")]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run_cli(["train", "--config", workspace["config"],
+                            "--manifest", workspace["manifest"],
+                            "--out", tempfile.mkdtemp(dir=workspace["root"]), *sets])
+        assert code in (0, 1), err.getvalue()
+        if code == 1:
+            assert_one_line_error(err.getvalue())
 
 
 class TestEval:

@@ -1,5 +1,6 @@
 """Gaze encoder and assembled network: shapes, modes, counters, gradients."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,7 @@ from gazemoe.layers import ResidualBasicBlock
 from gazemoe.losses import objective
 from gazemoe.model import GazeEncoder, HybridMoeNet
 from gazemoe.moe import HybridMoeBlock
+from gazemoe.optim import Adam
 from gazemoe.tensor import Tensor, finite_diff_check
 
 
@@ -243,6 +245,29 @@ def test_float32_training_step_stays_float32(monkeypatch):
     T.backward(total)
     assert {name for name, _ in seen} >= {"stem.w", "head.w", "gaze_encoder.proj.w"}
     assert [(n, d) for n, d in seen if d != np.float32] == []
+
+
+def test_next_forward_starts_without_the_previous_graph():
+    net = HybridMoeNet(replace(experiments.TOY_MODEL, top_k=2))
+    opt = Adam(net.named_parameters(), lr=1e-3)
+    img, hm = batch(b=16, size=32, seed=5)
+    labels = np.random.default_rng(5).integers(0, 3, size=16)
+    forward_peaks = []
+    tracemalloc.start()
+    try:
+        for _ in range(3):
+            tracemalloc.reset_peak()
+            # rebinding the loss is all train() does with the last step's graph
+            total, _, _ = objective(*net(img, hm), labels, 0.01)
+            forward_peaks.append(tracemalloc.get_traced_memory()[1])
+            opt.zero_grad()
+            T.backward(total)
+            opt.step()
+    finally:
+        tracemalloc.stop()
+    # a graph kept alive through the loss doubles the second forward's peak
+    assert forward_peaks[1] < 1.3 * forward_peaks[0], [p / forward_peaks[0]
+                                                        for p in forward_peaks]
 
 
 def test_unknown_precision_is_a_config_error():

@@ -1,6 +1,11 @@
 """Tensor engine: forward oracles, backward rules, finite-difference checks."""
 
 import inspect
+import os
+import platform
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 import zlib
 
@@ -378,6 +383,59 @@ def test_repeated_backward_accumulates():
     assert np.array_equal(x.grad, [4.0, 8.0])
     x.zero_grad()
     assert x.grad is None
+
+
+def test_backward_frees_the_graph_it_walks():
+    x = Tensor(np.random.default_rng(2).normal(size=(256, 256)), requires_grad=True)
+    tracemalloc.start()
+    try:
+        loss = ((x * 2.0) * (x + 1.0)).sum()
+        backward(loss)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # x.grad is the only array left; a kept graph adds its three intermediates
+    assert retained < 1.5 * x.data.nbytes, retained / x.data.nbytes
+
+
+def test_second_backward_over_a_consumed_graph_raises():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    loss = (x * x).sum()
+    backward(loss)
+    with pytest.raises(ContractError, match="already differentiated"):
+        backward(loss)
+    h = x * 3.0
+    backward(h.sum())
+    # a new graph built on a consumed intermediate cannot reach x through it
+    with pytest.raises(ContractError, match="already differentiated"):
+        backward((h * h).sum())
+
+
+def test_allocator_keeps_freed_pages_mapped():
+    if platform.libc_ver()[0] != "glibc":
+        pytest.skip("the allocator policy is set through glibc's mallopt")
+    code = textwrap.dedent("""
+        import resource
+        import numpy as np
+        import gazemoe.tensor
+
+        def churn(rounds):
+            for _ in range(rounds):
+                arrays = [np.ones(1 << 19) for _ in range(8)]  # eight 4 MiB arrays
+                del arrays
+
+        churn(1)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        churn(20)
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    """)
+    src = os.path.dirname(os.path.dirname(T.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, check=True)
+    # glibc's defaults hand freed arrays' pages back to the kernel, so later
+    # rounds fault them in again (about 81k faults over the 20 rounds)
+    assert int(proc.stdout) < 1000, proc.stdout
 
 
 def test_backward_diamond_graph():
