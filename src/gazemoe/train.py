@@ -3,7 +3,12 @@ batches, per-epoch CSV metrics, and best/final checkpoints.
 
 The per-epoch metrics, ``eval`` and ``route-dump`` share one
 gradient-free chunked pass over a split (``_forward_split``), which
-stitches each branch's routing into one record covering every row.
+stitches each branch's routing into one record covering every row. It
+runs two chunks at a time on a short-lived thread pool and combines
+them in chunk order, so its floats are those of a serial loop. Pixels
+are decoded once per run and cached as the PGM's integers and maxval
+(an eighth of float64 for 8-bit files); each batch is scaled to [0,1]
+with ``data.load_image``'s float64 division when it is assembled.
 
 Reproducibility contract: a fixed TrainConfig and manifest produce
 byte-identical metrics CSVs and checkpoints. All randomness flows from
@@ -17,14 +22,15 @@ from __future__ import annotations
 import csv
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensor as T
 from .config import TrainConfig, config_from_text, config_to_text
-from .data import (SampleManifest, augment, load_groups, load_image,
-                   load_manifest, subject_kfold, uniform_class_iter)
+from .data import (SampleManifest, augment, load_groups, load_manifest,
+                   read_pgm, subject_kfold, uniform_class_iter)
 from .errors import ConfigError, ContractError, FormatError, NumericsError, ValidationError
 from .losses import objective
 from .metrics import accuracy, macro_auc, routing_purity
@@ -42,41 +48,51 @@ FINAL_DIR = "checkpoint_final"
 # -- batching ---------------------------------------------------------------
 
 
-def _load_pixels(rows: list[SampleManifest]) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Decode every referenced PGM once; sample_id -> (image, heatmap),
-    each [1,H,W] in [0,1]. Every file must match the first one's shape."""
+def _load_pixels(rows: list[SampleManifest]) -> dict[str, tuple[tuple, tuple]]:
+    """Decode every referenced PGM once; sample_id -> (image, heatmap), each
+    kept as ``read_pgm``'s (integer array [H,W], maxval). Every file must
+    match the first one's shape."""
     cache = {}
     first = None  # (path, shape) of the first file decoded
     for m in rows:
         pair = []
         for path in (m.image_path, m.heatmap_path):
-            pixels = load_image(path)
+            pixels, maxval = read_pgm(path)
             first = first or (path, pixels.shape)
             if pixels.shape != first[1]:
                 raise ValidationError(
-                    f"{path}: {pixels.shape[2]}x{pixels.shape[1]} pixels, but "
-                    f"{first[0]} is {first[1][2]}x{first[1][1]}; every image "
+                    f"{path}: {pixels.shape[1]}x{pixels.shape[0]} pixels, but "
+                    f"{first[0]} is {first[1][1]}x{first[1][0]}; every image "
                     f"and heatmap must share one size"
                 )
-            pair.append(pixels)
+            pair.append((pixels, maxval))
         cache[m.sample_id] = tuple(pair)
     return cache
 
 
+def _scaled(pixels: list[tuple[np.ndarray, int]]) -> np.ndarray:
+    """Cached (integers, maxval) pairs -> float64 [B,1,H,W] in [0,1].
+
+    One float64 division per pixel, as ``load_image`` does it (integer
+    cast to float64, then divided by the file's maxval), in one pass over
+    the whole batch.
+    """
+    ints = np.stack([p for p, _ in pixels])
+    maxvals = np.array([m for _, m in pixels], dtype=np.float64)
+    return np.divide(ints, maxvals[:, None, None], dtype=np.float64)[:, None]
+
+
 def _assemble(rows, cache, dtype, augment_cfg=None, rng=None):
-    """Stack cached pixels into model inputs, augmenting when configured."""
-    images, heatmaps, labels = [], [], []
-    for m in rows:
-        img, heat = cache[m.sample_id]
-        if augment_cfg is not None:
-            img, heat = augment(img, heat, augment_cfg, rng)
-        images.append(img)
-        heatmaps.append(heat)
-        labels.append(m.label)
+    """Scale cached pixels into model inputs, augmenting when configured."""
+    images = _scaled([cache[m.sample_id][0] for m in rows])
+    heatmaps = _scaled([cache[m.sample_id][1] for m in rows])
+    if augment_cfg is not None:  # per sample, so the draws keep their order
+        for i in range(len(rows)):
+            images[i] = augment(images[i], heatmaps[i], augment_cfg, rng)[0]
     return (
-        Tensor(np.stack(images).astype(dtype, copy=False)),
-        Tensor(np.stack(heatmaps).astype(dtype, copy=False)),
-        np.array(labels, dtype=np.int64),
+        Tensor(images.astype(dtype, copy=False)),
+        Tensor(heatmaps.astype(dtype, copy=False)),
+        np.array([m.label for m in rows], dtype=np.int64),
     )
 
 
@@ -108,25 +124,39 @@ def _forward_split(model: HybridMoeNet, rows, cache, batch_size, lb_weight):
     Cross-entropy is averaged per sample; the balance term is a
     batch-level quantity, so it is averaged over chunks weighted by
     chunk size.
+
+    Chunks run two at a time (one per CPU this process may use, at most
+    two) on a thread pool that lives only for this call: BLAS and numpy's
+    large array loops release the GIL, so the two chunks' convs overlap.
+    Each chunk's result is its own, and the sums and concatenations below
+    run on this thread in chunk order, so the floats are those of a
+    serial loop. Gradient recording is a process-wide flag: this thread
+    holds it off until the pool has shut down, and the workers never
+    touch it.
     """
     if not rows:
         raise ConfigError("cannot evaluate an empty split")
+
+    def forward(chunk):
+        images, heatmaps, labels = _assemble(chunk, cache, model.dtype)
+        logits, records = model(images, heatmaps)
+        _, cls, lb = objective(logits, records, labels, lb_weight)
+        return logits.data, labels, records, cls * len(chunk), lb * len(chunk)
+
+    workers = min(2, len(os.sched_getaffinity(0)))
+    with T.no_grad(), ThreadPoolExecutor(workers) as pool:
+        logits, labels, records, cls, lb = zip(*pool.map(forward,
+                                                         _chunks(rows, batch_size)))
     cls_sum = 0.0
     lb_sum = 0.0
-    logits_all = []
-    labels_all = []
+    # a plain loop, not sum(): from Python 3.12 sum() compensates float error
+    for chunk_cls, chunk_lb in zip(cls, lb):
+        cls_sum += chunk_cls
+        lb_sum += chunk_lb
     parts: dict = {}  # (block_id, branch) -> that branch's per-chunk records
-    with T.no_grad():
-        for chunk in _chunks(rows, batch_size):
-            images, heatmaps, labels = _assemble(chunk, cache, model.dtype)
-            logits, records = model(images, heatmaps)
-            _, cls, lb = objective(logits, records, labels, lb_weight)
-            cls_sum += cls * len(chunk)
-            lb_sum += lb * len(chunk)
-            logits_all.append(logits.data)
-            labels_all.append(labels)
-            for rec in records:
-                parts.setdefault((rec.block_id, rec.branch), []).append(rec)
+    for chunk_records in records:
+        for rec in chunk_records:
+            parts.setdefault((rec.block_id, rec.branch), []).append(rec)
     stitched = [
         RoutingRecord(block_id, branch,
                       Tensor(np.concatenate([r.raw_scores.data for r in recs])),
@@ -135,7 +165,7 @@ def _forward_split(model: HybridMoeNet, rows, cache, batch_size, lb_weight):
         for (block_id, branch), recs in parts.items()
     ]
     n = len(rows)
-    return (np.concatenate(logits_all), np.concatenate(labels_all),
+    return (np.concatenate(logits), np.concatenate(labels),
             cls_sum / n, lb_sum / n, stitched)
 
 

@@ -56,9 +56,10 @@ def test_worker_calls_pass_their_checks(tmp_path):
     # the census reads each conv's stride from the op's arguments; a signature
     # change it misreads would show up here as a wrong or missing shape
     model = HybridMoeNet(TINY.train_config().model)
-    assert {(row["C"], row["O"], row["k"], row["stride"]) for row in calls[1]["census"]} == {
-        (conv.in_channels, conv.out_channels, conv.kernel_size, conv.stride)
-        for conv in _conv_layers(model)}
+    convs = {(conv.in_channels, conv.out_channels, conv.kernel_size, conv.stride)
+             for conv in _conv_layers(model)}
+    assert {(row["C"], row["O"], row["k"], row["stride"])
+            for row in calls[1]["census"]} == convs
 
     ckpt = calls[0]["outputs"]["final_dir"]
     evals = [worker.timed_call("eval", TINY, manifest, "", traced, ckpt)
@@ -66,3 +67,11 @@ def test_worker_calls_pass_their_checks(tmp_path):
     for call in evals:
         assert worker.check_call(call, evals[0], sample_ids) == []
     assert worker.check_files("eval", TINY, manifest, evals[-1], ckpt) == []
+    # the split pass runs its chunks on pool threads: their spans must still
+    # count every routed row once and every conv shape, and every forward
+    # must run without recording a graph
+    layers = evals[1]["layers"]
+    assert layers["moe.experts.rows_per_routed"] == 1.0
+    assert layers["model.forward.train_s"] == 0 < layers["model.forward.eval_s"]
+    assert {(row["C"], row["O"], row["k"], row["stride"])
+            for row in evals[1]["census"]} == convs

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
 
 import numpy as np
 import pytest
@@ -21,10 +22,10 @@ from gazemoe.cli import main
 from gazemoe.config import (AugmentConfig, ModelConfig, SyntheticSpec, TrainConfig,
                             config_from_text, load_config)
 from gazemoe.data import SampleManifest, load_manifest, write_manifest, write_pgm
-from gazemoe.errors import ConfigError
+from gazemoe.errors import ConfigError, ValidationError
 from gazemoe.serialize import load_checkpoint, save_checkpoint
 from gazemoe.tensor import Tensor
-from gazemoe.train import run_gradcheck
+from gazemoe.train import evaluate, run_gradcheck
 
 REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 
@@ -411,6 +412,28 @@ class TestEval:
         )
         assert len(err) < 200
 
+    def test_heatmap_above_1_in_a_later_chunk_exits_1(self, workspace, tmp_path,
+                                                     capsys):
+        # an 8-bit PGM whose samples exceed its maxval scales past 1; the
+        # gaze encoder refuses it inside a pool thread, and the error must
+        # reach the caller as if the chunks had run on its own thread
+        rows = load_manifest(workspace["manifest"])
+        hot = os.path.join(tmp_path, "hot.pgm")
+        with open(hot, "wb") as fh:
+            fh.write(b"P5\n24 24\n100\n" + bytes([255]) * 24 * 24)
+        m = rows[20]  # batch_size is 12: the second chunk
+        rows[20] = SampleManifest(m.sample_id, m.image_path, hot, m.label, m.subject_id)
+        manifest = os.path.join(tmp_path, "manifest.csv")
+        write_manifest(manifest, rows)
+        threads = threading.active_count()
+        with pytest.raises(ValidationError, match=r"heatmap values must lie in \[0,1\]"):
+            evaluate(workspace["checkpoint"], manifest)
+        assert threading.active_count() == threads
+        assert run_cli(["eval", "--checkpoint", workspace["checkpoint"],
+                        "--manifest", manifest]) == 1
+        assert_one_line_error(capsys.readouterr().err, "heatmap values", "2.55")
+        assert threading.active_count() == threads
+
     def test_purity_lines_on_patterns_data(self, workspace, capsys):
         root = workspace["root"]
         data = os.path.join(root, "patterns")
@@ -453,7 +476,8 @@ class TestMixedPixelShapes:
         ]
         for argv in commands:
             assert run_cli(argv) == 1, argv[0]
-            assert_one_line_error(capsys.readouterr().err, odd, "20x20", "24x24")
+            assert_one_line_error(capsys.readouterr().err, odd, "20x20",
+                                  rows[0].image_path, "24x24")
 
 
 class TestGradcheck:

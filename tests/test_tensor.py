@@ -405,10 +405,19 @@ def test_second_backward_over_a_consumed_graph_raises():
     with pytest.raises(ContractError, match="already differentiated"):
         backward(loss)
     h = x * 3.0
-    backward(h.sum())
+    first = h.sum()
+    backward(first)
     # a new graph built on a consumed intermediate cannot reach x through it
     with pytest.raises(ContractError, match="already differentiated"):
         backward((h * h).sum())
+    # and is refused before any adjoint lands: x also feeds it directly, and
+    # a walk that ran the product's rule first would add h to x.grad
+    x_grad, first_grad = x.grad.tobytes(), first.grad.tobytes()
+    loss = (h * x).sum()
+    with pytest.raises(ContractError, match="already differentiated"):
+        backward(loss)
+    assert (x.grad.tobytes(), first.grad.tobytes()) == (x_grad, first_grad)
+    assert loss.grad is None
 
 
 def test_allocator_keeps_freed_pages_mapped():
@@ -436,6 +445,42 @@ def test_allocator_keeps_freed_pages_mapped():
     # glibc's defaults hand freed arrays' pages back to the kernel, so later
     # rounds fault them in again (about 81k faults over the 20 rounds)
     assert int(proc.stdout) < 1000, proc.stdout
+
+
+def test_allocator_shares_one_arena_across_threads():
+    if platform.libc_ver()[0] != "glibc" or not os.path.exists("/proc/self/status"):
+        pytest.skip("the arena cap is set through glibc's mallopt; VmHWM is Linux's")
+    code = textwrap.dedent("""
+        import threading
+        import numpy as np
+        import gazemoe.tensor
+
+        def peak_kb():
+            with open("/proc/self/status") as fh:
+                return next(int(line.split()[1]) for line in fh
+                            if line.startswith("VmHWM:"))
+
+        def churn():
+            for _ in range(5):
+                arrays = [np.ones(1 << 19) for _ in range(8)]  # eight 4 MiB arrays
+                del arrays
+
+        before = peak_kb()
+        worker = threading.Thread(target=churn)
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        churn()
+        print(peak_kb() - before)
+    """)
+    src = os.path.dirname(os.path.dirname(T.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, check=True)
+    # with an arena per thread, the worker's freed 32 MiB stays in its own
+    # arena and the main thread's churn maps another 32 MiB (about 2x one churn)
+    one_churn_kb = 8 * 4 * 1024
+    assert int(proc.stdout) < 1.5 * one_churn_kb, proc.stdout
 
 
 def test_backward_diamond_graph():

@@ -5,18 +5,23 @@ and loss-descent training invariants."""
 import csv
 import importlib
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from gazemoe.cli import main
 from gazemoe.config import AugmentConfig, ModelConfig, SyntheticSpec, TrainConfig
-from gazemoe.data import generate_synthetic, load_manifest, write_manifest
+from gazemoe.data import (SampleManifest, augment, generate_synthetic, load_image,
+                          load_manifest, write_manifest, write_pgm)
 from gazemoe.errors import ConfigError, FormatError, NumericsError
+from gazemoe.losses import objective
 from gazemoe.metrics import usage_entropy
 from gazemoe.serialize import load_checkpoint, save_checkpoint
-from gazemoe.tensor import Tensor
-from gazemoe.train import evaluate, load_model, route_dump, train
+from gazemoe.tensor import Tensor, no_grad
+from gazemoe.train import (_assemble, _forward_split, _load_pixels, evaluate,
+                           evaluate_split, load_model, route_dump, train)
 
 
 @pytest.fixture(scope="module")
@@ -228,6 +233,87 @@ class TestEvaluate:
         _, res = run
         with pytest.raises(ConfigError, match="fold"):
             evaluate(res.final_dir, dataset, fold=7)
+
+
+class TestSplitPass:
+    def test_threaded_pass_equals_a_serial_loop(self, run, dataset):
+        _, res = run
+        model, cfg = load_model(res.final_dir)
+        rows = load_manifest(dataset, num_classes=3)
+        batch = 8
+        assert len(rows) % batch  # the last chunk is partial
+        cache = _load_pixels(rows)
+        threads = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # hand the GIL between the workers at every chance
+        try:
+            logits, _, _, _, _ = _forward_split(model, rows, cache, batch, cfg.lb_weight)
+            report = evaluate_split(model, rows, cache, batch, cfg.lb_weight)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == threads
+        # gradient recording is back on (racing per-worker no_grad could leave it off)
+        assert (Tensor([1.0], requires_grad=True) * 2.0).requires_grad
+
+        # reference: one chunk after another on this thread, pixels from load_image
+        cls_sum = lb_sum = 0.0
+        ref_logits, parts = [], {}
+        with no_grad():
+            for start in range(0, len(rows), batch):
+                chunk = rows[start : start + batch]
+                images = np.stack([load_image(m.image_path) for m in chunk])
+                heatmaps = np.stack([load_image(m.heatmap_path) for m in chunk])
+                out, records = model(Tensor(images), Tensor(heatmaps))
+                _, cls, lb = objective(out, records, np.array([m.label for m in chunk]),
+                                       cfg.lb_weight)
+                cls_sum += cls * len(chunk)
+                lb_sum += lb * len(chunk)
+                ref_logits.append(out.data)
+                for rec in records:
+                    parts.setdefault((rec.block_id, rec.branch), []).append(rec)
+        assert logits.tobytes() == np.concatenate(ref_logits).tobytes()
+        assert report.loss_cls == cls_sum / len(rows)
+        assert report.loss_lb == lb_sum / len(rows)
+        assert [(r.block_id, r.branch) for r in report.records] == list(parts)
+        for rec in report.records:
+            recs = parts[rec.block_id, rec.branch]
+            for got, want in ((rec.raw_scores.data, [r.raw_scores.data for r in recs]),
+                              (rec.indices, [r.indices for r in recs]),
+                              (rec.gate_p, [r.gate_p for r in recs])):
+                want = np.concatenate(want)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("augmented", [False, True])
+    def test_assembled_pixels_equal_load_image(self, tmp_path, dtype, augmented):
+        # 8-bit and 16-bit files, with full-range and odd maxvals, in one batch
+        rng = np.random.default_rng(4)
+        rows = []
+        for i, (img_max, heat_max) in enumerate([(255, 65535), (65535, 255),
+                                                 (200, 1000), (4095, 7)]):
+            paths = [os.path.join(tmp_path, f"{kind}{i}.pgm") for kind in "ih"]
+            for path, maxval in zip(paths, (img_max, heat_max)):
+                write_pgm(path, rng.uniform(size=(5, 7)), maxval=maxval)
+            rows.append(SampleManifest(f"s{i}", *paths, i % 3, f"p{i}"))
+        cfg = AugmentConfig(noise_sigma=0.02) if augmented else None
+        images, heatmaps, labels = _assemble(rows, _load_pixels(rows), dtype, cfg,
+                                             np.random.default_rng(9))
+
+        # reference: per sample from load_image, augmented in row order
+        ref_rng = np.random.default_rng(9)
+        ref_images, ref_heatmaps = [], []
+        for m in rows:
+            image, heatmap = load_image(m.image_path), load_image(m.heatmap_path)
+            if cfg is not None:
+                image, heatmap = augment(image, heatmap, cfg, ref_rng)
+            ref_images.append(image)
+            ref_heatmaps.append(heatmap)
+        for got, ref in ((images, ref_images), (heatmaps, ref_heatmaps)):
+            want = np.stack(ref).astype(dtype)
+            assert got.data.dtype == dtype and got.shape == want.shape == (4, 1, 5, 7)
+            assert got.data.tobytes() == want.tobytes()
+        assert labels.tolist() == [0, 1, 2, 0]
 
 
 class TestRouteDump:
