@@ -373,5 +373,14 @@ def load_groups(path) -> dict[str, int]:
                 continue
             if len(row) != 2:
                 raise ParseError(f"{path}:{lineno}: expected 2 fields")
-            out[row[0]] = int(row[1])
+            sample_id, group_txt = row
+            try:
+                group = int(group_txt)
+            except ValueError:
+                raise ParseError(
+                    f"{path}:{lineno}: group {group_txt!r} is not an integer"
+                ) from None
+            if sample_id in out:
+                raise ParseError(f"{path}:{lineno}: duplicate sample_id {sample_id!r}")
+            out[sample_id] = group
     return out

@@ -74,7 +74,9 @@ def objective(logits: Tensor, records: Sequence[RoutingRecord], labels,
             raise ContractError("routing stats need a nonempty batch")
         p_bar = T.softmax(rec.raw_scores, axis=1).mean(axis=0)
         terms.append(load_balance_loss(rec.usage, p_bar))
-    lb = sum(t.item() for t in terms)
+    lb = 0.0
+    for t in terms:  # a plain loop: from Python 3.12 sum() compensates float error
+        lb += t.item()
     total = cls
     if terms and lb_weight != 0.0:
         total = cls + T.scale(sum(terms[1:], terms[0]), lb_weight)

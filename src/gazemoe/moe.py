@@ -9,7 +9,8 @@ Routing is per sample. The router scores all N experts; the k highest
 scores are selected (ties to the lowest index) and their softmax becomes
 the combination weights, so k=1 degenerates to weight 1.0 on the argmax
 expert. Unselected experts never enter the graph and receive no
-gradient.
+gradient; the selected ones' weighted rows are summed in ascending expert
+index.
 """
 
 from __future__ import annotations
@@ -110,21 +111,19 @@ class MoeBranch(Module):
 
     def __call__(self, x: Tensor, routing_feature: Tensor, block_id: int,
                  branch: str) -> tuple[Tensor, RoutingRecord]:
-        """h[b] = sum over selected j of weight[b,j] * expert_j(x[b])."""
+        """h[b] = sum over selected j of weight[b,j] * expert_j(x[b]): one ``put_rows``
+        adds each active expert's weighted rows, in ascending expert index."""
         indices, weights, raw = self.route(routing_feature)
         batch, k = indices.shape
         flat = weights.reshape(batch * k, 1, 1, 1)  # row b*k + j holds weight[b, j]
-        out = None
-        for i in range(self.experts.num_experts):
+        parts, blocks = [], []
+        for i in np.unique(indices).tolist():
             # experts are distinct within a row, so rows come out unique and sorted
             rows, slots = np.nonzero(indices == i)
-            if rows.size == 0:
-                continue
             h_i = self.experts.run_expert(i, T.take_rows(x, rows))
-            weighted = h_i * T.take_rows(flat, rows * k + slots)
-            scattered = T.put_rows(weighted, rows, num_rows=batch)
-            out = scattered if out is None else out + scattered
-        return out, RoutingRecord(block_id, branch, raw, indices)
+            parts.append(h_i * T.take_rows(flat, rows * k + slots))
+            blocks.append(rows)
+        return T.put_rows(parts, blocks, batch), RoutingRecord(block_id, branch, raw, indices)
 
 
 class FusionGate(Module):

@@ -27,8 +27,9 @@ there, out of training's reach (quickstart training call peak RSS 133
 missing (not glibc) this is skipped.
 
 Top-k style index selection is deliberately *not* differentiable: the
-indexing ops (``take_rows`` etc.) move values around and route gradients
-back to the positions they came from, nothing more.
+indexing ops move values around and route gradients back to where they
+came from; ``put_rows`` sums row blocks in list order, the MoE combine.
+Graph recording is per thread: ``no_grad`` leaves other threads recording.
 
 ``conv2d`` runs as BLAS GEMMs over a channel-major patch matrix of shape
 [C*kh*kw, B*H'*W'], built from one shifted slice copy per kernel offset.
@@ -49,6 +50,7 @@ output array per conv instead of one per step.
 from __future__ import annotations
 
 import ctypes
+import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -79,21 +81,24 @@ def _keep_freed_pages() -> None:
 
 _keep_freed_pages()
 
-_grad_enabled = True
+
+class _GradMode(threading.local):
+    enabled = True  # each thread starts recording
+
+
+_grad_mode = _GradMode()
 
 
 class no_grad:
-    """Context manager that disables graph recording."""
+    """Context manager that disables graph recording on the calling thread."""
 
     def __enter__(self):
-        global _grad_enabled
-        self._prev = _grad_enabled
-        _grad_enabled = False
+        self._prev = _grad_mode.enabled
+        _grad_mode.enabled = False
         return self
 
     def __exit__(self, *exc):
-        global _grad_enabled
-        _grad_enabled = self._prev
+        _grad_mode.enabled = self._prev
         return False
 
 
@@ -204,7 +209,7 @@ def _lift(x, dtype) -> Tensor:
 def _make_op(out_data: np.ndarray, parents: Iterable[Tensor], backward) -> Tensor:
     parents = tuple(parents)
     out = Tensor(out_data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _grad_mode.enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward
@@ -610,15 +615,16 @@ def take_rows(x: Tensor, idx: np.ndarray) -> Tensor:
     return _make_op(out, (x,), back)
 
 
-def put_rows(x: Tensor, idx: np.ndarray, num_rows: int) -> Tensor:
-    """Scatter rows into a zero tensor of ``num_rows`` rows: out[idx[i]] = x[i].
+def put_rows(parts: Sequence[Tensor], rows: Sequence[np.ndarray], num_rows: int) -> Tensor:
+    """Sum row blocks into ``num_rows`` zero rows in list order: out[rows[i]] += parts[i].
 
-    Indices must be unique; overlapping writes are a caller bug.
+    Rows may repeat across blocks, not within one. Block i's gradient is g[rows[i]].
     """
-    idx = np.asarray(idx, dtype=np.int64)
-    out = np.zeros((num_rows,) + x.shape[1:], dtype=x.dtype)
-    out[idx] = x.data
-    return _make_op(out, (x,), lambda g: (g[idx],))
+    out = np.zeros((num_rows,) + parts[0].shape[1:], dtype=parts[0].dtype)
+    out[rows[0]] = parts[0].data
+    for part, idx in zip(parts[1:], rows[1:]):
+        out[idx] += part.data
+    return _make_op(out, parts, lambda g: [g[idx] for idx in rows])
 
 
 # -- gradient verification ---------------------------------------------

@@ -130,21 +130,20 @@ def _forward_split(model: HybridMoeNet, rows, cache, batch_size, lb_weight):
     large array loops release the GIL, so the two chunks' convs overlap.
     Each chunk's result is its own, and the sums and concatenations below
     run on this thread in chunk order, so the floats are those of a
-    serial loop. Gradient recording is a process-wide flag: this thread
-    holds it off until the pool has shut down, and the workers never
-    touch it.
+    serial loop.
     """
     if not rows:
         raise ConfigError("cannot evaluate an empty split")
 
     def forward(chunk):
         images, heatmaps, labels = _assemble(chunk, cache, model.dtype)
-        logits, records = model(images, heatmaps)
-        _, cls, lb = objective(logits, records, labels, lb_weight)
+        with T.no_grad():
+            logits, records = model(images, heatmaps)
+            _, cls, lb = objective(logits, records, labels, lb_weight)
         return logits.data, labels, records, cls * len(chunk), lb * len(chunk)
 
     workers = min(2, len(os.sched_getaffinity(0)))
-    with T.no_grad(), ThreadPoolExecutor(workers) as pool:
+    with ThreadPoolExecutor(workers) as pool:
         logits, labels, records, cls, lb = zip(*pool.map(forward,
                                                          _chunks(rows, batch_size)))
     cls_sum = 0.0

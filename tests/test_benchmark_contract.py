@@ -26,6 +26,15 @@ TINY = workloads.Workload(
     config_text=workloads.README_TRAIN_CFG, epochs=1,
 )
 
+# the train_many_experts recipe (16 experts, top-2, every block hybrid) on a
+# few subjects: every branch combines at least two experts' rows
+MANY_EXPERTS = workloads.Workload(
+    name="many_experts", kind="train",
+    spec=dict(task="patterns", num_subjects=4, samples_per_subject=8, image_size=16,
+              num_classes=4),
+    config_text=workloads.MANY_EXPERTS_TRAIN_CFG, epochs=1,
+)
+
 
 def _conv_layers(module):
     for value in vars(module).values():
@@ -75,3 +84,30 @@ def test_worker_calls_pass_their_checks(tmp_path):
     assert layers["model.forward.train_s"] == 0 < layers["model.forward.eval_s"]
     assert {(row["C"], row["O"], row["k"], row["stride"])
             for row in evals[1]["census"]} == convs
+
+
+def test_worker_checks_hold_over_multi_expert_dispatch(tmp_path):
+    manifest = workloads.generate_inputs(MANY_EXPERTS, 0, str(tmp_path)).manifest
+    sample_ids = [m.sample_id for m in load_manifest(manifest)]
+    cfg = MANY_EXPERTS.train_config()
+    branches = 2 * len(cfg.model.hybrid_positions)
+    out_dir = str(tmp_path / "run")
+    calls = [worker.timed_call("train", MANY_EXPERTS, manifest, out_dir, traced)
+             for traced in (False, True)]
+    for call in calls:
+        assert worker.check_call(call, calls[0], sample_ids) == []
+    assert worker.check_files("train", MANY_EXPERTS, manifest, calls[-1]) == []
+    assert calls[1]["layers"]["moe.experts.rows_per_routed"] == 1.0
+
+    ckpt = calls[0]["outputs"]["final_dir"]
+    evals = [worker.timed_call("eval", MANY_EXPERTS, manifest, "", traced, ckpt)
+             for traced in (False, True)]
+    for call in evals:
+        assert worker.check_call(call, evals[0], sample_ids) == []
+    assert worker.check_files("eval", MANY_EXPERTS, manifest, evals[-1], ckpt) == []
+    layers = evals[1]["layers"]
+    assert layers["moe.experts.rows_per_routed"] == 1.0
+    # top-2 puts two distinct experts in every row, so each branch forward
+    # over a chunk runs at least two of them
+    chunks = -(-len(sample_ids) // cfg.batch_size)
+    assert layers["moe.experts.calls"] >= 2 * branches * chunks

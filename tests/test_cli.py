@@ -434,6 +434,23 @@ class TestEval:
         assert_one_line_error(capsys.readouterr().err, "heatmap values", "2.55")
         assert threading.active_count() == threads
 
+    @pytest.mark.parametrize("group, needle", [("two", "group 'two' is not an integer"),
+                                               ("1", "duplicate sample_id")])
+    def test_bad_groups_line_exits_1_naming_it(self, workspace, tmp_path, capsys,
+                                                group, needle):
+        # groups.csv beside the manifest adds routing purity to the report
+        rows = load_manifest(workspace["manifest"])
+        manifest = os.path.join(tmp_path, "manifest.csv")
+        write_manifest(manifest, rows)
+        groups = os.path.join(tmp_path, "groups.csv")
+        with open(groups, "w") as fh:
+            fh.write("sample_id,group\n")
+            fh.writelines(f"{m.sample_id},0\n" for m in rows)
+            fh.write(f"{rows[1].sample_id},{group}\n")
+        assert run_cli(["eval", "--checkpoint", workspace["checkpoint"],
+                        "--manifest", manifest]) == 1
+        assert_one_line_error(capsys.readouterr().err, f"{groups}:{len(rows) + 2}:", needle)
+
     def test_purity_lines_on_patterns_data(self, workspace, capsys):
         root = workspace["root"]
         data = os.path.join(root, "patterns")

@@ -180,6 +180,19 @@ def test_total_loss_invariant():
         assert abs(total.item() - (cls + lam * lb)) < 1e-12
 
 
+def test_balance_term_is_summed_left_to_right():
+    # these four terms add to one float left to right and to another exactly
+    # rounded (math.fsum), so a compensated sum would change the logged lb
+    rng = np.random.default_rng(7)
+    recs = [routed(rng.normal(size=(5, 4))) for _ in range(4)]
+    terms = [load_balance_loss(r.usage, T.softmax(r.raw_scores, axis=1).mean(axis=0)).item()
+             for r in recs]
+    left_to_right = ((terms[0] + terms[1]) + terms[2]) + terms[3]
+    assert left_to_right != math.fsum(terms)
+    _, _, lb = objective(Tensor(rng.normal(size=(5, 3))), recs, [0, 1, 2, 0, 1], 0.01)
+    assert lb == left_to_right
+
+
 def test_total_loss_rejects_negative_weight():
     with pytest.raises(ContractError):
         objective(Tensor([[0.0, 0.0]]), [], [0], lb_weight=-0.1)

@@ -165,6 +165,99 @@ def test_unselected_experts_get_no_gradient():
     assert all(p.grad is None for _, p in branch.experts.experts[2].named_parameters())
 
 
+def chained_branch(branch, x, feature):
+    """The combine as one single-block put_rows per expert plus a running add."""
+    indices, weights, _ = branch.route(feature)
+    batch, k = indices.shape
+    flat = weights.reshape(batch * k, 1, 1, 1)
+    out = None
+    for i in range(branch.experts.num_experts):
+        rows, slots = np.nonzero(indices == i)
+        if rows.size == 0:
+            continue
+        h_i = branch.experts.run_expert(i, T.take_rows(x, rows))
+        weighted = h_i * T.take_rows(flat, rows * k + slots)
+        scattered = T.put_rows([weighted], [rows], num_rows=batch)
+        out = scattered if out is None else out + scattered
+    return out
+
+
+class ExcludingRouter:
+    """A router MLP whose last expert scores far below the others."""
+
+    def __init__(self, width, num_experts, seed):
+        self.mlp = router_mlp(width, num_experts, rng(seed))
+        self.bias = Tensor(np.r_[np.zeros(num_experts - 1), -1e3])
+
+    def __call__(self, feature):
+        return self.mlp(feature) + self.bias
+
+
+def excluding_branch(k, seed=50):  # seed 50: experts 0-3 all active at k = 1, 2, 3
+    n, batch, width = 5, 7, 6
+    bank = ExpertBank(n, 2, 3, rng(seed), stride=2)
+    branch = MoeBranch(ExcludingRouter(width, n, seed + 1), bank, k)
+    x = Tensor(rng(seed + 2).normal(size=(batch, 2, 6, 6)), requires_grad=True)
+    feature = Tensor(rng(seed + 3).normal(size=(batch, width)), requires_grad=True)
+    return branch, x, feature
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_branch_combine_is_bit_equal_to_the_per_expert_chain(k):
+    branch, x, feature = excluding_branch(k)
+    params = [p for _, p in branch.router.mlp.named_parameters()] + branch.experts.parameters()
+    g = rng(40).normal(size=(7, 3, 3, 3))
+
+    def run(forward):
+        for t in [x, feature] + params:
+            t.zero_grad()
+        out = forward()
+        backward((out * Tensor(g)).sum())
+        return [out.data] + [t.grad for t in [x, feature] + params]
+
+    want = run(lambda: chained_branch(branch, x, feature))
+    got = run(lambda: branch(x, feature, 0, "DD")[0])
+    indices = branch.route(feature)[0]
+    assert 4 not in indices and len(np.unique(indices)) == 4
+    for a, b in zip(got, want):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    # the never-selected expert gets no gradient, every other parameter does
+    unselected = {id(p) for p in branch.experts.experts[4].parameters()}
+    assert all((p.grad is None) == (id(p) in unselected) for p in params)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_branch_output_is_one_put_rows_over_the_weighted_parts(k, monkeypatch):
+    branch, x, feature = excluding_branch(k)
+    branch.router = StubRouter(branch.router(feature).data)  # no add inside routing
+    calls = {"put_rows": [], "add": 0}
+    put_rows, add = T.put_rows, T.add
+
+    def spy_put_rows(parts, rows, num_rows):
+        out = put_rows(parts, rows, num_rows)
+        calls["put_rows"].append((list(parts), [np.asarray(r) for r in rows], out))
+        return out
+
+    def spy_add(a, b):
+        calls["add"] += 1
+        return add(a, b)
+
+    monkeypatch.setattr(T, "put_rows", spy_put_rows)
+    monkeypatch.setattr(T, "add", spy_add)
+    h, rec = branch(x, feature, 0, "DD")
+    assert calls["add"] == 0
+    [(parts, rows, out)] = calls["put_rows"]
+    assert out is h and h._parents == tuple(parts)
+    active = np.unique(rec.indices)
+    assert len(parts) == len(active) == 4
+    for i, part, r in zip(active, parts, rows):
+        assert np.array_equal(r, np.nonzero(rec.indices == i)[0])
+        assert part.shape == (len(r), 3, 3, 3)
+        assert part._backward.__qualname__.startswith("mul.")  # expert output times weight
+
+
 # -- fusion gate ---------------------------------------------------------
 
 

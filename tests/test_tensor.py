@@ -6,6 +6,7 @@ import platform
 import subprocess
 import sys
 import textwrap
+import threading
 import tracemalloc
 import zlib
 
@@ -507,6 +508,40 @@ def test_no_grad_blocks_recording():
     assert not y.requires_grad and y.is_leaf
 
 
+def test_no_grad_holds_only_on_its_own_thread():
+    x = Tensor([1.0], requires_grad=True)
+    held, release = threading.Event(), threading.Event()
+    inside = []
+
+    def hold():
+        with no_grad():
+            inside.append(x * 3.0)
+            held.set()
+            release.wait(10)
+
+    holder = threading.Thread(target=hold)
+    holder.start()
+    try:
+        assert held.wait(10)
+        y = x * 3.0  # thread A holds no_grad; this thread still records
+    finally:
+        release.set()
+        holder.join(10)
+    assert not holder.is_alive()
+    assert y.requires_grad and not y.is_leaf
+    assert not inside[0].requires_grad and inside[0].is_leaf
+
+    # and a thread started under this thread's no_grad records
+    with no_grad():
+        fresh = []
+        worker = threading.Thread(target=lambda: fresh.append(x * 3.0))
+        worker.start()
+        worker.join(10)
+        assert not worker.is_alive()
+        assert not (x * 3.0).requires_grad
+    assert fresh[0].requires_grad and not fresh[0].is_leaf
+
+
 # -- index ops -----------------------------------------------------------
 
 
@@ -536,10 +571,27 @@ def test_take_rows_grad_matches_add_at_bitwise(idx):
 
 def test_put_rows_forward_and_grad():
     x = Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
-    out = T.put_rows(x, np.array([2, 0]), num_rows=3)
+    out = T.put_rows([x], [np.array([2, 0])], num_rows=3)
     assert np.array_equal(out.data, [[3.0, 4.0], [0.0, 0.0], [1.0, 2.0]])
     backward((out * Tensor([[1.0, 1.0], [9.0, 9.0], [2.0, 2.0]])).sum())
     assert np.array_equal(x.grad, [[2.0, 2.0], [1.0, 1.0]])
+
+
+def test_put_rows_sums_overlapping_blocks_in_list_order():
+    rng = np.random.default_rng(11)
+    rows = [np.array([0, 3, 4]), np.array([1, 3]), np.array([4, 0, 3, 5])]
+    parts = [Tensor(rng.normal(size=(len(r), 2, 3)), requires_grad=True) for r in rows]
+    out = T.put_rows(parts, rows, num_rows=7)
+    want = np.zeros((7, 2, 3))
+    for part, r in zip(parts, rows):
+        want[r] += part.data
+    assert out.data.tobytes() == want.tobytes()  # row 3 sums three blocks, row 6 none
+    assert out._parents == tuple(parts)
+    g = rng.normal(size=(7, 2, 3))
+    grads = out._backward(g)
+    assert len(grads) == len(parts)
+    for grad, r in zip(grads, rows):
+        assert grad.tobytes() == g[r].tobytes()
 
 
 # -- shape ops -----------------------------------------------------------
@@ -685,14 +737,17 @@ def _fd_case(name):
     if name == "index_ops":
         x = away_from_zero((4, 6))
         idx = np.array([[1, 4], [0, 2], [5, 3], [2, 2]])
-        # the routing gather: row b picks x[b, idx[b]] from the flattened x.
-        # x[3, 2] is picked twice and row 3 is taken twice, so both gathers
-        # must accumulate their gradients
-        return [("x", x)], lambda: sum_sq(T.put_rows(
-            T.take_rows(T.take_rows(x.reshape(-1), np.arange(4)[:, None] * 6 + idx),
-                        np.array([3, 0, 3, 2])),
-            np.array([5, 1, 0, 3]), num_rows=6,
-        ))
+
+        def f():
+            # the routing gather: row b picks x[b, idx[b]] from the flattened x.
+            # x[3, 2] is picked twice and row 3 is taken twice, so both gathers
+            # must accumulate their gradients; the two put_rows blocks share
+            # output rows 0 and 3, so each must get the gradient of the sum
+            picked = T.take_rows(x.reshape(-1), np.arange(4)[:, None] * 6 + idx)
+            blocks = [T.take_rows(picked, np.array([3, 0, 3, 2])), picked]
+            return sum_sq(T.put_rows(blocks, [np.array([5, 1, 0, 3]), np.array([3, 0, 2, 4])],
+                                     num_rows=6))
+        return [("x", x)], f
     raise AssertionError(name)
 
 
