@@ -164,12 +164,6 @@ def read_pgm(path) -> tuple[np.ndarray, int]:
     return data.astype(np.uint16 if maxval >= 256 else np.uint8), maxval
 
 
-def load_image(path) -> np.ndarray:
-    """PGM file -> float64 array [1,H,W] with values scaled to [0,1] by maxval."""
-    data, maxval = read_pgm(path)
-    return (data.astype(np.float64) / maxval)[None, :, :]
-
-
 # -- augmentation ------------------------------------------------------------
 
 

@@ -2,10 +2,10 @@
 MoE blocks swapped in at configured (stage, block) positions, a gaze
 encoder feeding those blocks, and a linear classification head.
 
-The gaze feature is computed once per forward and adapted to each hybrid
-block through a learned linear projection. A config with no hybrid
-positions degenerates to a plain residual network that never touches the
-heatmap (baseline mode).
+The gaze feature is computed once per forward and passed to every hybrid
+block, which adapts it through its own learned projection. A config with
+no hybrid positions degenerates to a plain residual network that never
+touches the heatmap (baseline mode).
 
 Precision is decided here and nowhere else: every layer is built in
 float64 from one seeded draw, then the network casts each parameter once
@@ -69,7 +69,6 @@ class HybridMoeNet(Module):
         self.stem = Conv2d(config.in_channels, config.stem_channels, 3, rng,
                            stride=config.stem_stride, pad=1)
         blocks = []
-        gaze_projs = []
         in_ch = config.stem_channels
         block_id = 0
         for s, (out_ch, n_blocks, stage_stride) in enumerate(
@@ -82,9 +81,6 @@ class HybridMoeNet(Module):
                         in_ch, out_ch, config.num_experts, config.top_k,
                         config.gaze_feature_width, rng, stride=stride, block_id=block_id,
                     ))
-                    gaze_projs.append(Linear(
-                        config.gaze_feature_width, config.gaze_feature_width, rng
-                    ))
                     block_id += 1
                 else:
                     blocks.append(ResidualBasicBlock(in_ch, out_ch, rng, stride=stride))
@@ -92,7 +88,6 @@ class HybridMoeNet(Module):
         self.blocks = blocks
         self.gaze_encoder = GazeEncoder(1, config.gaze_encoder_channels,
                                         config.gaze_feature_width, rng)
-        self.gaze_projs = gaze_projs
         self.head = Linear(in_ch, config.num_classes, rng)
         for p in self.parameters():
             p.data = p.data.astype(self.dtype, copy=False)
@@ -135,10 +130,9 @@ class HybridMoeNet(Module):
 
         x = self.stem(image, relu=True)
         records: list[RoutingRecord] = []
-        projs = iter(self.gaze_projs)
         for blk in self.blocks:
             if isinstance(blk, HybridMoeBlock):
-                x, branch_records = blk(x, next(projs)(x_exp))
+                x, branch_records = blk(x, x_exp)
                 records.extend(branch_records)
             else:
                 x = blk(x)

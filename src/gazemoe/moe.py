@@ -2,8 +2,9 @@
 
 A hybrid block runs two MoE branches over the same image features: the
 DD branch routes on the globally pooled image feature, the DE branch
-routes on a gaze-derived feature. A sigmoid gate conditioned on both
-features mixes the branch outputs convexly.
+routes on the block's own linear projection of the gaze feature. A
+sigmoid gate conditioned on the pooled and projected features mixes the
+branch outputs convexly.
 
 Routing is per sample. The router scores all N experts; the k highest
 scores are selected (ties to the lowest index) and their softmax becomes
@@ -141,8 +142,9 @@ class HybridMoeBlock(Module):
 
     Output x_hat = p * h_DE + (1 - p) * h_DD where p comes from the
     fusion gate and both h's are expert mixtures over the same input
-    feature map. The gaze feature is mandatory; there is no silent
-    image-only fallback.
+    feature map. The block projects the gaze feature it is given through
+    its own ``gaze_proj`` before routing and gating. The gaze feature is
+    mandatory; there is no silent image-only fallback.
     """
 
     def __init__(self, in_channels: int, out_channels: int, num_experts: int,
@@ -160,6 +162,7 @@ class HybridMoeBlock(Module):
             top_k,
         )
         self.gate = FusionGate(in_channels, gaze_width, rng)
+        self.gaze_proj = Linear(gaze_width, gaze_width, rng)
 
     def __call__(self, x: Tensor, x_exp: Tensor) -> tuple[Tensor, tuple[RoutingRecord, RoutingRecord]]:
         if x_exp is None:
@@ -169,6 +172,7 @@ class HybridMoeBlock(Module):
                 f"batch mismatch: image features {x.shape[0]} rows, "
                 f"gaze features {x_exp.shape[0]} rows"
             )
+        x_exp = self.gaze_proj(x_exp)
         x_f = x.mean(axis=(2, 3))
         h_dd, rec_dd = self.dd(x, x_f, self.block_id, "DD")
         h_de, rec_de = self.de(x, x_exp, self.block_id, "DE")

@@ -8,7 +8,8 @@ runs two chunks at a time on a short-lived thread pool and combines
 them in chunk order, so its floats are those of a serial loop. Pixels
 are decoded once per run and cached as the PGM's integers and maxval
 (an eighth of float64 for 8-bit files); each batch is scaled to [0,1]
-with ``data.load_image``'s float64 division when it is assembled.
+when it is assembled, by casting the integers to float64 and dividing
+by the file's maxval.
 
 Reproducibility contract: a fixed TrainConfig and manifest produce
 byte-identical metrics CSVs and checkpoints. All randomness flows from
@@ -73,9 +74,8 @@ def _load_pixels(rows: list[SampleManifest]) -> dict[str, tuple[tuple, tuple]]:
 def _scaled(pixels: list[tuple[np.ndarray, int]]) -> np.ndarray:
     """Cached (integers, maxval) pairs -> float64 [B,1,H,W] in [0,1].
 
-    One float64 division per pixel, as ``load_image`` does it (integer
-    cast to float64, then divided by the file's maxval), in one pass over
-    the whole batch.
+    One float64 division per pixel (integer cast to float64, then divided
+    by the file's maxval), in one pass over the whole batch.
     """
     ints = np.stack([p for p, _ in pixels])
     maxvals = np.array([m for _, m in pixels], dtype=np.float64)
@@ -142,8 +142,9 @@ def _forward_split(model: HybridMoeNet, rows, cache, batch_size, lb_weight):
             _, cls, lb = objective(logits, records, labels, lb_weight)
         return logits.data, labels, records, cls * len(chunk), lb * len(chunk)
 
-    workers = min(2, len(os.sched_getaffinity(0)))
-    with ThreadPoolExecutor(workers) as pool:
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)  # sched_getaffinity is Linux-only
+    with ThreadPoolExecutor(min(2, cpus)) as pool:
         logits, labels, records, cls, lb = zip(*pool.map(forward,
                                                          _chunks(rows, batch_size)))
     cls_sum = 0.0
@@ -152,16 +153,13 @@ def _forward_split(model: HybridMoeNet, rows, cache, batch_size, lb_weight):
     for chunk_cls, chunk_lb in zip(cls, lb):
         cls_sum += chunk_cls
         lb_sum += chunk_lb
-    parts: dict = {}  # (block_id, branch) -> that branch's per-chunk records
-    for chunk_records in records:
-        for rec in chunk_records:
-            parts.setdefault((rec.block_id, rec.branch), []).append(rec)
+    # every chunk returns its records in the model's fixed order
     stitched = [
-        RoutingRecord(block_id, branch,
+        RoutingRecord(recs[0].block_id, recs[0].branch,
                       Tensor(np.concatenate([r.raw_scores.data for r in recs])),
                       np.concatenate([r.indices for r in recs]),
                       np.concatenate([r.gate_p for r in recs]))
-        for (block_id, branch), recs in parts.items()
+        for recs in zip(*records)
     ]
     n = len(rows)
     return (np.concatenate(logits), np.concatenate(labels),
@@ -211,31 +209,24 @@ def evaluate_split(model: HybridMoeNet, rows, cache, batch_size,
 # -- metrics CSV -------------------------------------------------------------
 
 
-def _frac_keys(model: HybridMoeNet):
-    keys = []
-    for blk in model.hybrid_blocks():
-        keys.append((blk.block_id, "DD"))
-        keys.append((blk.block_id, "DE"))
-    return keys
-
-
 def metrics_header(model: HybridMoeNet) -> list[str]:
+    """Column names; the fraction columns follow the model's record order."""
     cols = ["epoch", "split", "loss_cls", "loss_lb", "loss_total", "acc", "auc"]
-    num_experts = model.config.num_experts
-    for block_id, branch in _frac_keys(model):
-        cols += [f"f_b{block_id}_{branch.lower()}_e{i}" for i in range(num_experts)]
+    for blk in model.hybrid_blocks():
+        for branch in ("dd", "de"):
+            cols += [f"f_b{blk.block_id}_{branch}_e{i}"
+                     for i in range(model.config.num_experts)]
     return cols
 
 
-def _metrics_row(model, epoch, split, report: SplitReport) -> list[str]:
+def _metrics_row(epoch, split, report: SplitReport) -> list[str]:
     row = [str(epoch), split] + [
         repr(float(v))
         for v in (report.loss_cls, report.loss_lb, report.loss_total,
                   report.acc, report.auc)
     ]
-    fracs = report.expert_fracs
-    for key in _frac_keys(model):
-        row += [repr(float(v)) for v in fracs[key]]
+    for rec in report.records:
+        row += [repr(float(v)) for v in rec.usage]
     return row
 
 
@@ -281,8 +272,8 @@ def train(config: TrainConfig, manifest_path, out_dir) -> TrainResult:
         test_rep = evaluate_split(model, test_rows, cache, config.batch_size,
                                   config.lb_weight)
         with open(metrics_path, "a", newline="") as fh:
-            csv.writer(fh).writerows([_metrics_row(model, epoch, "train", train_rep),
-                                      _metrics_row(model, epoch, "test", test_rep)])
+            csv.writer(fh).writerows([_metrics_row(epoch, "train", train_rep),
+                                      _metrics_row(epoch, "test", test_rep)])
         if test_rep.auc > best_auc:
             best_auc = test_rep.auc
             best_epoch = epoch

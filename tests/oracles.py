@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 
+from gazemoe.data import read_pgm
+
 
 def matmul_oracle(a, b):
     """Triple-loop matrix product."""
@@ -177,3 +179,13 @@ def adam_scalar_oracle(grad_fn, theta0, lr, beta1=0.9, beta2=0.999, eps=1e-8, st
         theta -= lr * mhat / (math.sqrt(vhat) + eps)
         history.append(theta)
     return history
+
+
+def load_image(path):
+    """PGM file -> float64 array [1,H,W] scaled to [0,1] by maxval.
+
+    The pixel reference for batch assembly: decoding is ``read_pgm``'s
+    (tested on its own), the scaling is one division per pixel.
+    """
+    data, maxval = read_pgm(path)
+    return (data.astype(np.float64) / maxval)[None, :, :]

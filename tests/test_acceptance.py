@@ -140,7 +140,7 @@ def test_03_gate_output_sandwiched_between_branches(capsys):
         x_f = x.mean(axis=(2, 3))
         with T.no_grad():
             h_dd, _ = blk.dd(x, x_f, 0, "DD")
-            h_de, _ = blk.de(x, x_exp, 0, "DE")
+            h_de, _ = blk.de(x, blk.gaze_proj(x_exp), 0, "DE")
         lo = np.minimum(h_dd.data, h_de.data)
         hi = np.maximum(h_dd.data, h_de.data)
         assert (x_hat.data >= lo - 1e-9).all()

@@ -395,22 +395,29 @@ class TestEval:
 
     def test_old_parameter_names_exit_1_with_short_message(self, workspace,
                                                            tmp_path, capsys):
-        # checkpoints once nested blocks in stages and router MLPs in a wrapper
         arrays, config_text = load_checkpoint(workspace["checkpoint"])
-        renamed = []
-        for name, a in arrays.items():
-            name = re.sub(r"^blocks\.(\d+)\.", r"stages.\1.blocks.0.", name)
-            renamed.append((name.replace(".router.", ".router.mlp."), Tensor(a)))
-        old = os.path.join(tmp_path, "old")
-        save_checkpoint(old, renamed, config_text)
-        assert run_cli(["eval", "--checkpoint", old,
-                        "--manifest", workspace["manifest"]]) == 1
-        err = capsys.readouterr().err
-        assert_one_line_error(
-            err, "missing (first 'blocks.0.conv1.w')",
-            "unexpected (first 'stages.0.blocks.0.conv1.w')",
-        )
-        assert len(err) < 200
+        hybrid = sorted({int(n.split(".")[1]) for n in arrays if ".gaze_proj." in n})
+        assert hybrid
+        layouts = [
+            # checkpoints once nested blocks in stages and router MLPs in a wrapper
+            (lambda name: re.sub(r"^blocks\.(\d+)\.", r"stages.\1.blocks.0.", name)
+             .replace(".router.", ".router.mlp."),
+             "blocks.0.conv1.w", "stages.0.blocks.0.conv1.w"),
+            # ... and kept the hybrid blocks' gaze projections in a list of their own
+            (lambda name: re.sub(r"^blocks\.(\d+)\.gaze_proj\.",
+                                 lambda m: f"gaze_projs.{hybrid.index(int(m[1]))}.", name),
+             f"blocks.{hybrid[0]}.gaze_proj.w", "gaze_projs.0.w"),
+        ]
+        for case, (rename, missing, unexpected) in enumerate(layouts):
+            old = os.path.join(tmp_path, f"old{case}")
+            save_checkpoint(old, [(rename(n), Tensor(a)) for n, a in arrays.items()],
+                            config_text)
+            assert run_cli(["eval", "--checkpoint", old,
+                            "--manifest", workspace["manifest"]]) == 1, case
+            err = capsys.readouterr().err
+            assert_one_line_error(err, f"missing (first {missing!r})",
+                                  f"unexpected (first {unexpected!r})")
+            assert len(err) < 200
 
     def test_heatmap_above_1_in_a_later_chunk_exits_1(self, workspace, tmp_path,
                                                      capsys):

@@ -17,7 +17,6 @@ from gazemoe.data import (
     augment,
     generate_synthetic,
     load_groups,
-    load_image,
     load_manifest,
     read_pgm,
     subject_kfold,
@@ -26,6 +25,7 @@ from gazemoe.data import (
     write_pgm,
 )
 from gazemoe.errors import ConfigError, FormatError, ParseError
+from oracles import load_image
 
 
 def _touch_pgm(path):

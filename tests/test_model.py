@@ -153,7 +153,7 @@ def test_parameter_names_are_flat_attribute_paths():
     assert "blocks.1.de.experts.experts.1.conv2.b" in names
     assert not [n for n in names if "stages." in n or ".mlp." in n]
     assert list(dict.fromkeys(n.split(".")[0] for n in names)) == [
-        "stem", "blocks", "gaze_encoder", "gaze_projs", "head",
+        "stem", "blocks", "gaze_encoder", "head",
     ]
 
 

@@ -311,7 +311,7 @@ def test_block_gate_extremes_select_branches():
         x_exp = Tensor(rng(13).normal(size=(3, 3)))
         out, _ = blk(x, x_exp)
         branch = getattr(blk, attr)
-        feat = x.mean(axis=(2, 3)) if attr == "dd" else x_exp
+        feat = x.mean(axis=(2, 3)) if attr == "dd" else blk.gaze_proj(x_exp)
         h, _ = branch(x, feat, 0, attr.upper())
         np.testing.assert_allclose(out.data, h.data, atol=1e-9)
 
@@ -334,7 +334,7 @@ def test_block_output_is_convex_combination():
     x_exp = Tensor(rng(23).normal(size=(4, 3)))
     out, _ = blk(x, x_exp)
     h_dd, _ = blk.dd(x, x.mean(axis=(2, 3)), 0, "DD")
-    h_de, _ = blk.de(x, x_exp, 0, "DE")
+    h_de, _ = blk.de(x, blk.gaze_proj(x_exp), 0, "DE")
     lo = np.minimum(h_dd.data, h_de.data)
     hi = np.maximum(h_dd.data, h_de.data)
     assert np.all(out.data >= lo - 1e-12)

@@ -13,8 +13,8 @@ import pytest
 
 from gazemoe.cli import main
 from gazemoe.config import AugmentConfig, ModelConfig, SyntheticSpec, TrainConfig
-from gazemoe.data import (SampleManifest, augment, generate_synthetic, load_image,
-                          load_manifest, write_manifest, write_pgm)
+from gazemoe.data import (SampleManifest, augment, generate_synthetic, load_manifest,
+                          write_manifest, write_pgm)
 from gazemoe.errors import ConfigError, FormatError, NumericsError
 from gazemoe.losses import objective
 from gazemoe.metrics import usage_entropy
@@ -22,6 +22,7 @@ from gazemoe.serialize import load_checkpoint, save_checkpoint
 from gazemoe.tensor import Tensor, no_grad
 from gazemoe.train import (_assemble, _forward_split, _load_pixels, evaluate,
                            evaluate_split, load_model, route_dump, train)
+from oracles import load_image
 
 
 @pytest.fixture(scope="module")
@@ -252,7 +253,7 @@ class TestSplitPass:
         finally:
             sys.setswitchinterval(interval)
         assert threading.active_count() == threads
-        # gradient recording is back on (racing per-worker no_grad could leave it off)
+        # the pool's no_grad stayed on its worker threads: this thread still records
         assert (Tensor([1.0], requires_grad=True) * 2.0).requires_grad
 
         # reference: one chunk after another on this thread, pixels from load_image
@@ -283,6 +284,24 @@ class TestSplitPass:
                 want = np.concatenate(want)
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
+
+    def test_split_pass_runs_without_sched_getaffinity(self, run, dataset, monkeypatch):
+        # macOS and Windows have no os.sched_getaffinity
+        _, res = run
+        model, cfg = load_model(res.final_dir)
+        rows = load_manifest(dataset, num_classes=3)
+        cache = _load_pixels(rows)
+        want = _forward_split(model, rows, cache, 8, cfg.lb_weight)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        got = _forward_split(model, rows, cache, 8, cfg.lb_weight)
+        assert got[0].tobytes() == want[0].tobytes()  # logits
+        assert got[2:4] == want[2:4]  # cross-entropy and balance term
+        assert len(got[4]) == len(want[4]) > 0
+        for g, w in zip(got[4], want[4]):
+            assert (g.block_id, g.branch) == (w.block_id, w.branch)
+            for a, b in ((g.raw_scores.data, w.raw_scores.data), (g.indices, w.indices),
+                         (g.gate_p, w.gate_p)):
+                assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("augmented", [False, True])
@@ -358,6 +377,12 @@ class TestRouteDump:
             np.testing.assert_array_equal(top1, report.top1[key])
             np.testing.assert_array_equal(np.bincount(top1, minlength=4) / n,
                                           report.expert_fracs[key])
+        # metrics.csv's last rows carry each branch's fractions under its own columns
+        for row, rep in zip(_read_metrics(res.metrics_path)[-2:],
+                            (res.final_train, res.final_test)):
+            for (block_id, branch), fracs in rep.expert_fracs.items():
+                cols = [f"f_b{block_id}_{branch.lower()}_e{i}" for i in range(4)]
+                assert [float(row[c]) for c in cols] == fracs.tolist()
 
     def test_single_label_manifest_dumps_but_does_not_evaluate(self, run, dataset,
                                                                tmp_path, capsys):
