@@ -32,19 +32,19 @@ came from; ``put_rows`` sums row blocks in list order, the MoE combine.
 Graph recording is per thread: ``no_grad`` leaves other threads recording.
 
 ``conv2d`` runs as BLAS GEMMs over a channel-major patch matrix of shape
-[C*kh*kw, B*H'*W'], built from one shifted slice copy per kernel offset.
-The matrix is never held whole: it is built a few samples at a time in
-one reused, L2-sized buffer, and each chunk is GEMMed straight into the
-output (forward) or the kernel gradient (backward). A stride-1 conv with a
-square kernel wider than its padding gets its input gradient as a conv of
-the output gradient with the flipped kernel; every other conv folds each
-chunk's ``w.T @ g`` back into the input.
+[C*kh*kw, B*H'*W']. It is built a few samples at a time in one reused,
+L2-sized buffer, each chunk by one gather copy through a strided view,
+and GEMMed straight into the output (forward) or the kernel gradient
+(backward). Every numpy call hands the GIL over, so a chunk takes few.
+A stride-1 conv with a square kernel wider than its padding gets its
+input gradient as a conv of the output gradient with the flipped kernel;
+every other conv folds each chunk's ``w.T @ g`` back into the input.
 
-``conv2d`` also takes an optional epilogue: right after each chunk's GEMM
-it adds the bias, then the residual, then applies relu, in place on that
-chunk. These are the float operations the separate ``add`` and ``relu``
-ops would run, so results are bit-identical, but the graph keeps one
-output array per conv instead of one per step.
+``conv2d`` also takes an optional epilogue: after the GEMMs it adds the
+bias, then the residual, then applies relu, in place on the whole output.
+These are the float operations the separate ``add`` and ``relu`` ops
+would run, so results are bit-identical, but the graph keeps one output
+array per conv instead of one per step.
 """
 
 from __future__ import annotations
@@ -441,37 +441,35 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
 _PATCH_BYTES = 1 << 20
 
 
-def _channel_major(x: np.ndarray, pad: int) -> np.ndarray:
-    """[B,C,H,W] -> [C,B,H+2*pad,W+2*pad], zero-padded in one copy (a view if pad is 0)."""
-    xc = x.transpose(1, 0, 2, 3)
-    if not pad:
-        return xc
-    C, B, H, W = xc.shape
-    xp = np.zeros((C, B, H + 2 * pad, W + 2 * pad), dtype=x.dtype)
-    xp[:, :, pad : pad + H, pad : pad + W] = xc
-    return xp
-
-
 def _patch_chunks(x: np.ndarray, kh: int, kw: int, stride: int, pad: int, oh: int, ow: int):
     """Yield ``(b0, cols)``: the patch matrix of ``x[b0:b0+n]`` as [C*kh*kw, n, oh*ow].
 
     Row ``(c*kh + i)*kw + j`` holds ``xp[c, b, i + stride*y, j + stride*x]``
-    over the chunk's output positions ``(b, y, x)``, one shifted slice copy
-    per kernel offset. Every chunk is written into the same buffer of about
-    ``_PATCH_BYTES``, so a yielded ``cols`` is valid only until the next one.
+    over the chunk's output positions ``(b, y, x)``, ``xp`` being the chunk
+    zero-padded channel-major: one gather copy through a strided view, after
+    one copy into a chunk-sized zero-bordered buffer if ``pad`` is set. Every
+    chunk is gathered into the same buffer of about ``_PATCH_BYTES``, so a
+    yielded ``cols`` is valid only until the next one.
     """
-    B, C = x.shape[:2]
-    xp = _channel_major(x, pad)
+    B, C, H, W = x.shape
     per_sample = C * kh * kw * oh * ow * x.itemsize
     nb = max(1, min(B, _PATCH_BYTES // per_sample))
+    # the border is never written; samples past a partial chunk's n are stale but never read
+    xp = np.zeros((C, nb, H + 2 * pad, W + 2 * pad), x.dtype) if pad else x.transpose(1, 0, 2, 3)
+    sc, sb, sh, sw = xp.strides
+    # in bounds: (oh-1)*stride <= H+2*pad-kh by oh's definition, and the same for the width
+    view = np.lib.stride_tricks.as_strided(
+        xp, (C, kh, kw, xp.shape[1], oh, ow), (sc, sh, sw, sb, stride * sh, stride * sw),
+        writeable=False)
     buf = np.empty((C, kh, kw, nb, oh, ow), dtype=x.dtype)
     for b0 in range(0, B, nb):
         n = min(nb, B - b0)
         cols = buf[:, :, :, :n]
-        for i in range(kh):
-            for j in range(kw):
-                cols[:, i, j] = xp[:, b0 : b0 + n, i : i + stride * oh : stride,
-                                   j : j + stride * ow : stride]
+        if pad:
+            xp[:, :n, pad : pad + H, pad : pad + W] = x[b0 : b0 + n].transpose(1, 0, 2, 3)
+            cols[...] = view[:, :, :, :n]
+        else:
+            cols[...] = view[:, :, :, b0 : b0 + n]
         yield b0, cols.reshape(C * kh * kw, n, oh * ow)
 
 
@@ -480,9 +478,9 @@ def _conv_forward(x: np.ndarray, w: np.ndarray, stride: int, pad: int,
                   relu: bool = False) -> np.ndarray:
     """Cross-correlate [B,C,H,W] with [O,C,kh,kw] -> contiguous [B,O,H',W'].
 
-    Each chunk's GEMM writes its samples' rows of the output directly, and
-    the epilogue (``+ bias``, ``+ residual``, then relu) runs on those rows
-    in place while they are still in cache.
+    Each chunk's GEMM writes its samples' rows of the output directly; the
+    epilogue (``+ bias``, ``+ residual``, then relu) then runs once, in
+    place, on the whole output.
     """
     B, _, H, W = x.shape
     O, _, kh, kw = w.shape
@@ -492,14 +490,13 @@ def _conv_forward(x: np.ndarray, w: np.ndarray, stride: int, pad: int,
     extra = [a for a in (bias, residual) if a is not None]
     out = np.empty((B, O, oh * ow), dtype=np.result_type(x, w, *extra))
     for b0, cols in _patch_chunks(x, kh, kw, stride, pad, oh, ow):
-        o = out[b0 : b0 + cols.shape[1]]
-        np.matmul(wmat, cols.transpose(1, 0, 2), out=o)
-        if bias is not None:
-            o += bias[:, None]
-        if residual is not None:
-            o += residual[b0 : b0 + cols.shape[1]].reshape(o.shape)
-        if relu:
-            np.maximum(o, 0.0, out=o)
+        np.matmul(wmat, cols.transpose(1, 0, 2), out=out[b0 : b0 + cols.shape[1]])
+    if bias is not None:
+        out += bias[:, None]
+    if residual is not None:
+        out += residual.reshape(out.shape)
+    if relu:
+        np.maximum(out, 0.0, out=out)
     return out.reshape(B, O, oh, ow)
 
 
@@ -517,13 +514,14 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0, bias: Tensor | N
 
     Lowered to GEMMs over a channel-major patch matrix of shape
     [C*kh*kw, B*H'*W'] that is never built whole: ``_patch_chunks`` fills
-    it a few samples at a time in one reused ~1 MiB buffer. Forward GEMMs
-    each chunk with ``w`` straight into the output and applies the
-    epilogue to that chunk. Backward masks ``g`` by ``out > 0`` when relu
-    is fused (exactly where the pre-activation is > 0), which is then the
-    residual's gradient; the bias gets its sum over (B, H', W'). It then
-    rebuilds the chunks from ``x`` (keeping them would hold a patch matrix
-    per conv in the graph) and sums ``g @ cols.T`` per chunk for the kernel.
+    it a few samples at a time in one reused ~1 MiB buffer, one gather copy
+    per chunk. Forward GEMMs each chunk with ``w`` straight into the output,
+    then applies the epilogue once to the whole output. Backward masks ``g``
+    by ``out > 0`` when relu is fused (exactly where the pre-activation is
+    > 0), which is then the residual's gradient; the bias gets its sum over
+    (B, H', W'). It then rebuilds the chunks from ``x`` (keeping them would
+    hold a patch matrix per conv in the graph) and sums ``g @ cols.T`` per
+    chunk for the kernel.
     The input gradient, when ``x`` needs one, is a stride-1 conv of ``g``
     with the flipped, transposed kernel and padding ``k - 1 - pad`` if
     ``stride == 1`` and the kernel is a square k x k with ``pad < k`` (its

@@ -128,9 +128,10 @@ def _forward_split(model: HybridMoeNet, rows, cache, batch_size, lb_weight):
     Chunks run two at a time (one per CPU this process may use, at most
     two) on a thread pool that lives only for this call: BLAS and numpy's
     large array loops release the GIL, so the two chunks' convs overlap.
-    Each chunk's result is its own, and the sums and concatenations below
-    run on this thread in chunk order, so the floats are those of a
-    serial loop.
+    Every numpy call is also a GIL hand-off between the two workers, so
+    the conv keeps its numpy calls per patch chunk few. Each chunk's
+    result is its own, and the sums and concatenations below run on this
+    thread in chunk order, so the floats are those of a serial loop.
     """
     if not rows:
         raise ConfigError("cannot evaluate an empty split")

@@ -80,6 +80,28 @@ def conv2d_grad_oracle(x, w, g, stride=1, pad=0):
     return dxp[:, :, pad : pad + H, pad : pad + W], dw
 
 
+def patch_chunks_oracle(x, kh, kw, stride, pad, oh, ow, patch_bytes):
+    """Yield ``(b0, cols)`` like ``tensor._patch_chunks``, by nested slice copies.
+
+    The whole batch is zero-padded channel-major first, and each chunk's
+    [C*kh*kw, n, oh*ow] patch matrix is built from one shifted slice copy
+    per kernel offset, into a fresh array per chunk. Chunks hold as many
+    samples as ``patch_bytes`` has room for, at least one.
+    """
+    B, C, H, W = x.shape
+    xp = np.zeros((C, B, H + 2 * pad, W + 2 * pad), dtype=x.dtype)
+    xp[:, :, pad : pad + H, pad : pad + W] = x.transpose(1, 0, 2, 3)
+    nb = max(1, min(B, patch_bytes // (C * kh * kw * oh * ow * x.itemsize)))
+    for b0 in range(0, B, nb):
+        n = min(nb, B - b0)
+        cols = np.empty((C, kh, kw, n, oh, ow), dtype=x.dtype)
+        for i in range(kh):
+            for j in range(kw):
+                cols[:, i, j] = xp[:, b0 : b0 + n, i : i + stride * oh : stride,
+                                   j : j + stride * ow : stride]
+        yield b0, cols.reshape(C * kh * kw, n, oh * ow)
+
+
 def softmax_oracle(row):
     """Plain exp-normalization of one row (no shift trick)."""
     exps = [math.exp(v) for v in row]

@@ -441,6 +441,19 @@ class TestEval:
         assert_one_line_error(capsys.readouterr().err, "heatmap values", "2.55")
         assert threading.active_count() == threads
 
+    def test_manifest_row_naming_a_directory_exits_1_naming_it(self, workspace, tmp_path,
+                                                               capsys):
+        rows = load_manifest(workspace["manifest"])
+        folder = os.path.join(tmp_path, "not_an_image.pgm")
+        os.makedirs(folder)
+        m = rows[3]
+        rows[3] = SampleManifest(m.sample_id, folder, m.heatmap_path, m.label, m.subject_id)
+        manifest = os.path.join(tmp_path, "manifest.csv")
+        write_manifest(manifest, rows)
+        assert run_cli(["eval", "--checkpoint", workspace["checkpoint"],
+                        "--manifest", manifest]) == 1
+        assert_one_line_error(capsys.readouterr().err, folder)
+
     @pytest.mark.parametrize("group, needle", [("two", "group 'two' is not an integer"),
                                                ("1", "duplicate sample_id")])
     def test_bad_groups_line_exits_1_naming_it(self, workspace, tmp_path, capsys,

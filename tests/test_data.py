@@ -213,6 +213,14 @@ class TestPgm:
         with pytest.raises(FormatError, match="non-numeric"):
             read_pgm(path)
 
+    def test_missing_file_or_directory_is_os_error_naming_it(self, tmp_path):
+        # a bare os.read of a directory says only "Is a directory"
+        for path in (os.path.join(tmp_path, "absent.pgm"), str(tmp_path)):
+            with pytest.raises(OSError) as info:
+                read_pgm(path)
+            assert info.value.filename == path
+            assert path in str(info.value)
+
     def test_load_image_scales_and_shapes(self, tmp_path):
         path = os.path.join(tmp_path, "t.pgm")
         write_pgm(path, np.array([[0.0, 1.0], [1.0, 0.0]]), maxval=255)
