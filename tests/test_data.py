@@ -213,6 +213,14 @@ class TestPgm:
         with pytest.raises(FormatError, match="non-numeric"):
             read_pgm(path)
 
+    def test_payload_with_newline_and_eof_bytes_reads_whole(self, tmp_path):
+        # a text-mode read would turn CR LF into LF and stop at 0x1A
+        path = os.path.join(tmp_path, "t.pgm")
+        with open(path, "wb") as fh:
+            fh.write(b"P5\n4 1\n255\n" + bytes([13, 10, 26, 13]))
+        data, _ = read_pgm(path)
+        np.testing.assert_array_equal(data, [[13, 10, 26, 13]])
+
     def test_missing_file_or_directory_is_os_error_naming_it(self, tmp_path):
         # a bare os.read of a directory says only "Is a directory"
         for path in (os.path.join(tmp_path, "absent.pgm"), str(tmp_path)):
