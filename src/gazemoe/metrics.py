@@ -16,6 +16,11 @@ def accuracy(logits, labels) -> float:
     """Percent of samples whose argmax logit matches the label (ties -> lowest)."""
     scores = _as_array(logits)
     labels = np.asarray(labels, dtype=np.int64)
+    if scores.ndim != 2 or labels.shape != scores.shape[:1]:
+        raise ContractError(
+            f"accuracy expects logits [M,C] with M labels, "
+            f"got {scores.shape} and {labels.shape}"
+        )
     if scores.shape[0] == 0:
         raise ContractError("accuracy needs at least one sample")
     predictions = np.argmax(scores, axis=1)

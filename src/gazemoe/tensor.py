@@ -40,6 +40,18 @@ A stride-1 conv with a square kernel wider than its padding gets its
 input gradient as a conv of the output gradient with the flipped kernel;
 every other conv folds each chunk's ``w.T @ g`` back into the input.
 
+In a process that may use two CPUs, a conv of two or more chunks splits
+them at a chunk boundary: the calling thread runs the first half, and
+one helper thread, started at the first split and kept for the life of
+the process, runs the second, so a training step's convs use two cores.
+BLAS releases the GIL, so the halves' GEMMs overlap. Each chunk's BLAS
+calls are the serial loop's, the halves write disjoint samples of the
+output and of the folded input gradient, and the caller adds the
+kernel-gradient partials in chunk order, so the bits are those of one
+thread. Threads that already run side by side, the evaluation workers,
+hold ``serial_convs``, and the helper thread is marked the same way when
+it starts: neither splits, so no third thread gets busy.
+
 ``conv2d`` also takes an optional epilogue: after the GEMMs it adds the
 bias, then the residual, then applies relu, in place on the whole output.
 These are the float operations the separate ``add`` and ``relu`` ops
@@ -50,7 +62,10 @@ array per conv instead of one per step.
 from __future__ import annotations
 
 import ctypes
+import functools
+import os
 import threading
+from concurrent import futures
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -100,6 +115,65 @@ class no_grad:
     def __exit__(self, *exc):
         _grad_mode.enabled = self._prev
         return False
+
+
+@functools.cache
+def usable_cpus() -> int:
+    """CPUs this process may run on, counted once, at the first call.
+
+    Its affinity mask where the OS has one (Linux), else every CPU.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _SplitMode(threading.local):
+    enabled = True  # each thread may split its convs over the helper
+
+
+_split_mode = _SplitMode()
+
+
+class serial_convs:
+    """Context manager that runs the calling thread's convs all on that thread."""
+
+    def __enter__(self):
+        self._prev = _split_mode.enabled
+        _split_mode.enabled = False
+        return self
+
+    def __exit__(self, *exc):
+        _split_mode.enabled = self._prev
+        return False
+
+
+def _hold_serial() -> None:
+    _split_mode.enabled = False
+
+
+_helper_pool: futures.ThreadPoolExecutor | None = None
+_helper_lock = threading.Lock()
+
+
+def _helper() -> futures.ThreadPoolExecutor:
+    """The one helper thread's pool, made at first use; its thread never splits."""
+    global _helper_pool
+    with _helper_lock:
+        if _helper_pool is None:
+            _helper_pool = futures.ThreadPoolExecutor(1, "conv-split", initializer=_hold_serial)
+        return _helper_pool
+
+
+def _forget_helper() -> None:
+    # a forked child has no helper thread, only the parent's pool object
+    global _helper_pool, _helper_lock
+    _helper_pool = None
+    _helper_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
 
 
 class Tensor:
@@ -441,29 +515,39 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
 _PATCH_BYTES = 1 << 20
 
 
-def _patch_chunks(x: np.ndarray, kh: int, kw: int, stride: int, pad: int, oh: int, ow: int):
+def _chunk_samples(x: np.ndarray, kh: int, kw: int, oh: int, ow: int) -> int:
+    """Samples per patch chunk of a conv over ``x``: as many as fit ``_PATCH_BYTES``, at least one."""
+    B, C = x.shape[:2]
+    return max(1, min(B, _PATCH_BYTES // (C * kh * kw * oh * ow * x.itemsize)))
+
+
+def _patch_chunks(x: np.ndarray, kh: int, kw: int, stride: int, pad: int, oh: int, ow: int,
+                  start: int, stop: int):
     """Yield ``(b0, cols)``: the patch matrix of ``x[b0:b0+n]`` as [C*kh*kw, n, oh*ow].
 
-    Row ``(c*kh + i)*kw + j`` holds ``xp[c, b, i + stride*y, j + stride*x]``
-    over the chunk's output positions ``(b, y, x)``, ``xp`` being the chunk
-    zero-padded channel-major: one gather copy through a strided view, after
-    one copy into a chunk-sized zero-bordered buffer if ``pad`` is set. Every
-    chunk is gathered into the same buffer of about ``_PATCH_BYTES``, so a
-    yielded ``cols`` is valid only until the next one.
+    The chunks cover samples [start, stop) at the whole batch's chunk size
+    ``nb``, from ``b0 = start``; ``start`` is a multiple of ``nb``, so they
+    are the serial loop's chunks. Row ``(c*kh + i)*kw + j`` holds
+    ``xp[c, b, i + stride*y, j + stride*x]`` over the chunk's output
+    positions ``(b, y, x)``, ``xp`` being the chunk zero-padded
+    channel-major: one gather copy through a strided view, after one copy
+    into a chunk-sized zero-bordered buffer if ``pad`` is set. Every chunk
+    is gathered into the same buffer of about ``_PATCH_BYTES``, so a yielded
+    ``cols`` is valid only until the next one.
     """
-    B, C, H, W = x.shape
-    per_sample = C * kh * kw * oh * ow * x.itemsize
-    nb = max(1, min(B, _PATCH_BYTES // per_sample))
+    _, C, H, W = x.shape
+    nb = _chunk_samples(x, kh, kw, oh, ow)
+    m = min(nb, stop - start)  # the most samples one chunk of the range holds
     # the border is never written; samples past a partial chunk's n are stale but never read
-    xp = np.zeros((C, nb, H + 2 * pad, W + 2 * pad), x.dtype) if pad else x.transpose(1, 0, 2, 3)
+    xp = np.zeros((C, m, H + 2 * pad, W + 2 * pad), x.dtype) if pad else x.transpose(1, 0, 2, 3)
     sc, sb, sh, sw = xp.strides
     # in bounds: (oh-1)*stride <= H+2*pad-kh by oh's definition, and the same for the width
     view = np.lib.stride_tricks.as_strided(
         xp, (C, kh, kw, xp.shape[1], oh, ow), (sc, sh, sw, sb, stride * sh, stride * sw),
         writeable=False)
-    buf = np.empty((C, kh, kw, nb, oh, ow), dtype=x.dtype)
-    for b0 in range(0, B, nb):
-        n = min(nb, B - b0)
+    buf = np.empty((C, kh, kw, m, oh, ow), dtype=x.dtype)
+    for b0 in range(start, stop, nb):
+        n = min(nb, stop - b0)
         cols = buf[:, :, :, :n]
         if pad:
             xp[:, :n, pad : pad + H, pad : pad + W] = x[b0 : b0 + n].transpose(1, 0, 2, 3)
@@ -473,14 +557,37 @@ def _patch_chunks(x: np.ndarray, kh: int, kw: int, stride: int, pad: int, oh: in
         yield b0, cols.reshape(C * kh * kw, n, oh * ow)
 
 
+def _run_chunks(run: Callable[[int, int], object], B: int, nb: int) -> list:
+    """``[run(0, B)]``, or ``[run(0, mid), run(mid, B)]`` with the second on the helper.
+
+    A conv's chunks split only when there are at least two, the calling
+    thread does not hold ``serial_convs`` and the process may use two CPUs.
+    ``mid`` is a multiple of ``nb``, so each half runs the serial loop's
+    chunks, and the caller takes the odd chunk. Both halves have finished
+    before this returns or raises, so none still writes when the caller
+    moves on; an error from either half propagates.
+    """
+    chunks = -(-B // nb)
+    if chunks < 2 or not _split_mode.enabled or usable_cpus() < 2:
+        return [run(0, B)]
+    mid = (chunks + 1) // 2 * nb
+    tail = _helper().submit(run, mid, B)
+    try:
+        head = run(0, mid)
+    finally:
+        futures.wait((tail,))
+    return [head, tail.result()]
+
+
 def _conv_forward(x: np.ndarray, w: np.ndarray, stride: int, pad: int,
                   bias: np.ndarray | None = None, residual: np.ndarray | None = None,
                   relu: bool = False) -> np.ndarray:
     """Cross-correlate [B,C,H,W] with [O,C,kh,kw] -> contiguous [B,O,H',W'].
 
-    Each chunk's GEMM writes its samples' rows of the output directly; the
-    epilogue (``+ bias``, ``+ residual``, then relu) then runs once, in
-    place, on the whole output.
+    Each chunk's GEMM writes its samples' rows of the output directly, the
+    chunks split between this thread and the helper (``_run_chunks``); the
+    epilogue (``+ bias``, ``+ residual``, then relu) then runs once, on this
+    thread, in place on the whole output.
     """
     B, _, H, W = x.shape
     O, _, kh, kw = w.shape
@@ -489,8 +596,12 @@ def _conv_forward(x: np.ndarray, w: np.ndarray, stride: int, pad: int,
     wmat = w.reshape(O, -1)  # [O, CK]
     extra = [a for a in (bias, residual) if a is not None]
     out = np.empty((B, O, oh * ow), dtype=np.result_type(x, w, *extra))
-    for b0, cols in _patch_chunks(x, kh, kw, stride, pad, oh, ow):
-        np.matmul(wmat, cols.transpose(1, 0, 2), out=out[b0 : b0 + cols.shape[1]])
+
+    def gemm_rows(start, stop):
+        for b0, cols in _patch_chunks(x, kh, kw, stride, pad, oh, ow, start, stop):
+            np.matmul(wmat, cols.transpose(1, 0, 2), out=out[b0 : b0 + cols.shape[1]])
+
+    _run_chunks(gemm_rows, B, _chunk_samples(x, kh, kw, oh, ow))
     if bias is not None:
         out += bias[:, None]
     if residual is not None:
@@ -527,6 +638,16 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0, bias: Tensor | N
     ``stride == 1`` and the kernel is a square k x k with ``pad < k`` (its
     output is exactly H x W); otherwise each chunk's ``w.T @ g`` is folded
     back with one slice-add per kernel offset.
+
+    On a thread that does not hold ``serial_convs``, in a process that
+    may use two CPUs, the forward GEMMs, the kernel-gradient loop (with
+    its fold) and the transposed input-gradient conv each split their
+    chunks at a chunk boundary: this thread runs the first half and the
+    helper thread the second. The bits match one thread's: each chunk
+    and its BLAS calls are the same, the halves write disjoint samples,
+    each half returns its chunks' kernel-gradient partials and this thread
+    adds them in chunk order, and the epilogue, relu mask and bias sum run
+    here, once, after both halves.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise DimensionError(f"conv2d expects 4-d input and kernel, got {x.shape} and {w.shape}")
@@ -558,20 +679,29 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0, bias: Tensor | N
         transposed_dx = x.requires_grad and stride == 1 and kh == kw and pad < kh
         folded_dx = x.requires_grad and not transposed_dx
         wmat = w.data.reshape(O, -1)
-        gw = np.zeros((O, C * kh * kw), dtype=np.result_type(g, x.data))
         if folded_dx:
             dxp = np.zeros((C, B, H + 2 * pad, W + 2 * pad), dtype=g.dtype)
-        for b0, cols in _patch_chunks(x.data, kh, kw, stride, pad, oh, ow):
-            n = cols.shape[1]
-            gm = g[b0 : b0 + n].transpose(1, 0, 2, 3).reshape(O, -1)  # [O, n*L]
-            gw += gm @ cols.reshape(C * kh * kw, -1).T
-            if folded_dx:
-                dcols = (wmat.T @ gm).reshape(C, kh, kw, n, oh, ow)
-                # fold: one shifted slice-add per kernel offset
-                for i in range(kh):
-                    for j in range(kw):
-                        dxp[:, b0 : b0 + n, i : i + stride * oh : stride,
-                            j : j + stride * ow : stride] += dcols[:, i, j]
+
+        def kernel_partials(start, stop):
+            """Each chunk's ``g @ cols.T``, in chunk order; folds its ``w.T @ g`` too."""
+            partials = []
+            for b0, cols in _patch_chunks(x.data, kh, kw, stride, pad, oh, ow, start, stop):
+                n = cols.shape[1]
+                gm = g[b0 : b0 + n].transpose(1, 0, 2, 3).reshape(O, -1)  # [O, n*L]
+                partials.append(gm @ cols.reshape(C * kh * kw, -1).T)
+                if folded_dx:
+                    dcols = (wmat.T @ gm).reshape(C, kh, kw, n, oh, ow)
+                    # fold: one shifted slice-add per kernel offset
+                    for i in range(kh):
+                        for j in range(kw):
+                            dxp[:, b0 : b0 + n, i : i + stride * oh : stride,
+                                j : j + stride * ow : stride] += dcols[:, i, j]
+            return partials
+
+        gw = np.zeros((O, C * kh * kw), dtype=np.result_type(g, x.data))
+        for half in _run_chunks(kernel_partials, B, _chunk_samples(x.data, kh, kw, oh, ow)):
+            for partial in half:
+                gw += partial
         if transposed_dx:
             wflip = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
             dx = _conv_forward(g, wflip, 1, kh - 1 - pad)

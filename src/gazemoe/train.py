@@ -126,26 +126,27 @@ def _forward_split(model: HybridMoeNet, rows, cache, batch_size, lb_weight):
     chunk size.
 
     Chunks run two at a time (one per CPU this process may use, at most
-    two) on a thread pool that lives only for this call: BLAS and numpy's
-    large array loops release the GIL, so the two chunks' convs overlap.
-    Every numpy call is also a GIL hand-off between the two workers, so
-    the conv keeps its numpy calls per patch chunk few. Each chunk's
-    result is its own, and the sums and concatenations below run on this
-    thread in chunk order, so the floats are those of a serial loop.
+    two, counted by ``tensor.usable_cpus``) on a thread pool that lives
+    only for this call: BLAS and numpy's large array loops release the
+    GIL, so the two chunks' convs overlap. Every numpy call is also a GIL
+    hand-off between the two workers, so the conv keeps its numpy calls
+    per patch chunk few. The workers already keep both cores busy, so they
+    hold ``tensor.serial_convs``: their convs never split over the conv
+    helper thread. Each chunk's result is its own, and the sums and
+    concatenations below run on this thread in chunk order, so the floats
+    are those of a serial loop.
     """
     if not rows:
         raise ConfigError("cannot evaluate an empty split")
 
     def forward(chunk):
         images, heatmaps, labels = _assemble(chunk, cache, model.dtype)
-        with T.no_grad():
+        with T.no_grad(), T.serial_convs():
             logits, records = model(images, heatmaps)
             _, cls, lb = objective(logits, records, labels, lb_weight)
         return logits.data, labels, records, cls * len(chunk), lb * len(chunk)
 
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)  # sched_getaffinity is Linux-only
-    with ThreadPoolExecutor(min(2, cpus)) as pool:
+    with ThreadPoolExecutor(min(2, T.usable_cpus())) as pool:
         logits, labels, records, cls, lb = zip(*pool.map(forward,
                                                          _chunks(rows, batch_size)))
     cls_sum = 0.0

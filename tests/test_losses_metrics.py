@@ -234,6 +234,18 @@ def test_accuracy_rejects_empty():
         accuracy(np.zeros((0, 3)), [])
 
 
+@pytest.mark.parametrize("labels", [[0], [0, 1], [0, 1, 2, 0]])
+def test_accuracy_rejects_a_label_count_that_does_not_match(labels):
+    # one label used to broadcast against 3 rows (66.67), two leaked numpy's ValueError
+    with pytest.raises(ContractError, match=r"\(3, 3\) and \(%d,\)" % len(labels)):
+        accuracy(np.eye(3), labels)
+
+
+def test_accuracy_rejects_logits_that_are_not_a_matrix():
+    with pytest.raises(ContractError, match="logits"):
+        accuracy(np.zeros(3), [0, 1, 2])
+
+
 # -- macro AUC ---------------------------------------------------------------
 
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import time
 import tracemalloc
 import zlib
 
@@ -165,12 +166,21 @@ def test_patch_chunks_match_slice_copy_oracle_bitwise(geometry, dtype, monkeypat
     # pad 0 gathers straight from the input, any other pad from the chunk buffer
     for p in sorted({0, pad}):
         ph, pw = (H + 2 * p - kh) // stride + 1, (W + 2 * p - kw) // stride + 1
-        got = [(b0, cols.copy()) for b0, cols in T._patch_chunks(x, kh, kw, stride, p, ph, pw)]
         want = list(oracles.patch_chunks_oracle(x, kh, kw, stride, p, ph, pw, patch_bytes))
-        assert [b0 for b0, _ in got] == [b0 for b0, _ in want]
-        for (_, g), (_, w) in zip(got, want):
-            assert g.dtype == dtype
-            assert np.array_equal(g, w), (geometry, p)
+        # the whole batch, a split conv's two halves and the range from the second chunk
+        starts = [b0 for b0, _ in want]
+        ranges = [(0, 5)]
+        if len(starts) > 1:
+            mid = starts[(len(starts) + 1) // 2]
+            ranges += [(0, mid), (mid, 5), (starts[1], 5)]
+        for start, stop in ranges:
+            got = [(b0, cols.copy()) for b0, cols
+                   in T._patch_chunks(x, kh, kw, stride, p, ph, pw, start, stop)]
+            chunks = [(b0, w) for b0, w in want if start <= b0 < stop]
+            assert [b0 for b0, _ in got] == [b0 for b0, _ in chunks]
+            for (_, g), (_, w) in zip(got, chunks):
+                assert g.dtype == dtype
+                assert np.array_equal(g, w), (geometry, p, start)
 
 
 def test_conv2d_float32_stays_float32():
@@ -307,6 +317,170 @@ def test_conv2d_epilogue_rejects_bad_bias_and_residual_shapes():
                           ((2, 3, 5, 5), 1)):
         with pytest.raises(DimensionError, match="residual"):
             T.conv2d(x, w, pad=pad, residual=Tensor(np.zeros(residual)))
+
+
+# -- conv2d over two threads ------------------------------------------------
+
+
+def _conv_run(x, w, g, stride, pad):
+    """(output, dx, dw) of one conv2d forward and backward."""
+    xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+    out = T.conv2d(xt, wt, stride=stride, pad=pad)
+    backward((out * Tensor(g)).sum())
+    return out.data, xt.grad, wt.grad
+
+
+def _three_chunk_case(geometry, dtype, monkeypatch, seed=0):
+    """(x, w, g, stride, pad) at B=5 with two samples per patch chunk: three chunks."""
+    x_shape, w_shape, stride, pad = CONV_GEOMETRIES[geometry]
+    x_shape = (5,) + x_shape[1:]
+    (B, C, H, W), (O, _, kh, kw) = x_shape, w_shape
+    oh, ow = (H + 2 * pad - kh) // stride + 1, (W + 2 * pad - kw) // stride + 1
+    monkeypatch.setattr(T, "_PATCH_BYTES", 2 * C * kh * kw * oh * ow * np.dtype(dtype).itemsize)
+    rng = np.random.default_rng(zlib.crc32(geometry.encode()) + seed)
+    return (rng.normal(size=x_shape).astype(dtype), rng.normal(size=w_shape).astype(dtype),
+            rng.normal(size=(B, O, oh, ow)).astype(dtype), stride, pad)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("geometry", list(CONV_GEOMETRIES))
+def test_conv2d_split_over_the_helper_matches_serial_bitwise(geometry, dtype, monkeypatch,
+                                                             conv_helper_calls):
+    x, w, g, stride, pad = _three_chunk_case(geometry, dtype, monkeypatch)
+    with T.serial_convs():
+        serial = _conv_run(x, w, g, stride, pad)
+    assert conv_helper_calls == []
+    split = _conv_run(x, w, g, stride, pad)
+    # the forward and the kernel-gradient loop each hand chunk 3 (samples 4..5)
+    # to the helper, and so does the transposed-dx conv of a stride-1 geometry
+    assert conv_helper_calls[:2] == [(4, 5), (4, 5)]
+    for got, want in zip(split, serial):
+        assert got.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+
+
+def test_serial_convs_holds_only_on_its_own_thread_and_restores(conv_helper_calls):
+    assert T._split_mode.enabled
+    with T.serial_convs():
+        with T.serial_convs():
+            pass
+        assert not T._split_mode.enabled
+        seen = []
+        worker = threading.Thread(target=lambda: seen.append(T._split_mode.enabled))
+        worker.start()
+        worker.join(10)
+        assert seen == [True]
+    assert T._split_mode.enabled
+
+
+def test_one_chunk_conv_never_submits_to_the_helper(conv_helper_calls):
+    rng = np.random.default_rng(1)
+    # stride 2 folds the input gradient, stride 1 runs it as a transposed conv
+    for stride in (1, 2):
+        _conv_run(rng.normal(size=(4, 3, 8, 8)), rng.normal(size=(5, 3, 3, 3)),
+                  rng.normal(size=(4, 5, 8 // stride, 8 // stride)), stride, 1)
+    assert conv_helper_calls == []
+
+
+@pytest.mark.parametrize("phase", ["forward", "backward"])
+@pytest.mark.parametrize("failing", ["caller", "helper"])
+def test_an_error_in_either_half_propagates_once_both_halves_finish(failing, phase,
+                                                                     monkeypatch,
+                                                                     conv_helper_calls):
+    x, w, g, stride, pad = _three_chunk_case("2-1", np.float64, monkeypatch)
+    xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+    out = T.conv2d(xt, wt, stride=stride, pad=pad) if phase == "backward" else None
+    real = T._patch_chunks
+    finished = []
+
+    def chunks(x, kh, kw, stride, pad, oh, ow, start, stop):
+        # the caller's half is samples [0, 4), the helper's [4, 5)
+        if (start == 0) == (failing == "caller"):
+            raise RuntimeError(f"chunk failed in the {failing}'s half")
+        for chunk in real(x, kh, kw, stride, pad, oh, ow, start, stop):
+            time.sleep(0.05)  # still running when the other half fails
+            yield chunk
+        finished.append(start)
+
+    monkeypatch.setattr(T, "_patch_chunks", chunks)
+    with pytest.raises(RuntimeError, match=f"the {failing}'s half"):
+        if phase == "forward":
+            T.conv2d(xt, wt, stride=stride, pad=pad)
+        else:
+            out._backward(g)
+    assert finished == ([4] if failing == "caller" else [0])
+    monkeypatch.setattr(T, "_patch_chunks", real)
+    # the helper thread is still there for the next conv
+    calls = len(conv_helper_calls)
+    with T.serial_convs():
+        want = _conv_run(x, w, g, stride, pad)
+    got = _conv_run(x, w, g, stride, pad)
+    assert len(conv_helper_calls) > calls
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+def test_two_threads_calling_conv2d_at_once_both_get_serial_results(monkeypatch,
+                                                                     conv_helper_calls):
+    # the 3x3-s1-p1 geometry takes the transposed-dx path, 2-1 the fold
+    cases = [_three_chunk_case(name, np.float64, monkeypatch, seed)
+             for seed, name in enumerate(("3x3-s1-p1", "2-1"))]
+    monkeypatch.setattr(T, "_PATCH_BYTES", 1)  # one sample per chunk for both
+    with T.serial_convs():
+        want = [_conv_run(*case) for case in cases]
+    start = threading.Barrier(2)
+    got = [[], []]
+
+    def work(i):
+        start.wait(10)
+        for _ in range(20):
+            got[i].append(_conv_run(*cases[i]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the GIL over at every chance
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(conv_helper_calls) >= 2 * 20 * 2
+    for runs, ref in zip(got, want):
+        assert len(runs) == 20
+        for run in runs:
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(run, ref))
+
+
+def test_a_forked_child_starts_a_helper_of_its_own():
+    if not hasattr(os, "fork"):
+        pytest.skip("os.fork is POSIX-only")
+    # the parent's helper thread is not copied into a child; a child that used
+    # the parent's pool object would wait for it forever
+    code = textwrap.dedent("""
+        import os, warnings
+        import numpy as np
+        from gazemoe import tensor as T
+
+        T.usable_cpus = lambda: 2
+        T._PATCH_BYTES = 1  # one sample per chunk
+        x, w = T.Tensor(np.ones((4, 2, 5, 5))), T.Tensor(np.ones((3, 2, 3, 3)))
+        want = T.conv2d(x, w, pad=1).data.tobytes()
+        parent_pool = T._helper()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads
+            pid = os.fork()
+        if pid == 0:
+            ok = T._helper() is not parent_pool and T.conv2d(x, w, pad=1).data.tobytes() == want
+            os._exit(0 if ok else 1)
+        print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    """)
+    src = os.path.dirname(os.path.dirname(T.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, check=True, timeout=60)
+    assert proc.stdout.strip() == "0", proc.stderr
 
 
 # -- pooling -------------------------------------------------------------

@@ -7,10 +7,12 @@ import importlib
 import os
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gazemoe import tensor as T
 from gazemoe.cli import main
 from gazemoe.config import AugmentConfig, ModelConfig, SyntheticSpec, TrainConfig
 from gazemoe.data import (SampleManifest, augment, generate_synthetic, load_manifest,
@@ -149,6 +151,23 @@ class TestReproducibility:
             b = open(os.path.join(res_b.final_dir, fname), "rb").read()
             assert a == b, fname
 
+    def test_split_convs_write_the_serial_bytes(self, dataset, tmp_path, monkeypatch,
+                                                 conv_helper_calls):
+        # gate 8 under threads: small patch chunks split every training conv over
+        # the helper thread, and the run's files are those of a one-thread run
+        monkeypatch.setattr(T, "_PATCH_BYTES", 1 << 15)
+        cfg = make_config(epochs=2)
+        with T.serial_convs():
+            serial = train(cfg, dataset, os.path.join(tmp_path, "serial"))
+        assert conv_helper_calls == []
+        split = train(cfg, dataset, os.path.join(tmp_path, "split"))
+        assert conv_helper_calls
+        assert Path(split.metrics_path).read_bytes() == Path(serial.metrics_path).read_bytes()
+        for sub in ("best_dir", "final_dir"):
+            a, b = Path(getattr(split, sub)), Path(getattr(serial, sub))
+            assert sorted(os.listdir(a)) == sorted(os.listdir(b)) == ["checkpoint.dkt"]
+            assert (a / "checkpoint.dkt").read_bytes() == (b / "checkpoint.dkt").read_bytes()
+
     def test_seed_changes_the_run(self, dataset, tmp_path):
         res_a = train(make_config(epochs=1), dataset, os.path.join(tmp_path, "a"))
         res_b = train(make_config(epochs=1, seed=9), dataset, os.path.join(tmp_path, "b"))
@@ -285,6 +304,25 @@ class TestSplitPass:
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
 
+    def test_split_pass_workers_never_split_their_convs(self, run, dataset, monkeypatch,
+                                                        conv_helper_calls):
+        # the two workers already keep both cores busy: no third busy thread
+        _, res = run
+        model, cfg = load_model(res.final_dir)
+        rows = load_manifest(dataset, num_classes=3)
+        cache = _load_pixels(rows)
+        want = _forward_split(model, rows, cache, 8, cfg.lb_weight)
+        monkeypatch.setattr(T, "_PATCH_BYTES", 1 << 12)  # many chunks per conv
+        got = _forward_split(model, rows, cache, 8, cfg.lb_weight)
+        assert conv_helper_calls == []
+        assert got[0].tobytes() == want[0].tobytes()
+        # the same forward on this thread does split
+        images, heatmaps, _ = _assemble(rows[:8], cache, model.dtype)
+        with no_grad():
+            logits, _ = model(images, heatmaps)
+        assert conv_helper_calls
+        assert logits.data.tobytes() == want[0][:8].tobytes()
+
     def test_split_pass_runs_without_sched_getaffinity(self, run, dataset, monkeypatch):
         # macOS and Windows have no os.sched_getaffinity
         _, res = run
@@ -293,7 +331,12 @@ class TestSplitPass:
         cache = _load_pixels(rows)
         want = _forward_split(model, rows, cache, 8, cfg.lb_weight)
         monkeypatch.delattr(os, "sched_getaffinity")
-        got = _forward_split(model, rows, cache, 8, cfg.lb_weight)
+        T.usable_cpus.cache_clear()  # count again, through the fallback
+        try:
+            got = _forward_split(model, rows, cache, 8, cfg.lb_weight)
+            assert T.usable_cpus() == (os.cpu_count() or 1)
+        finally:
+            T.usable_cpus.cache_clear()
         assert got[0].tobytes() == want[0].tobytes()  # logits
         assert got[2:4] == want[2:4]  # cross-entropy and balance term
         assert len(got[4]) == len(want[4]) > 0
