@@ -16,6 +16,14 @@ import re
 import sys
 import traceback
 
+# One BLAS thread unless the user set one, before numpy loads OpenBLAS: the
+# helper thread already puts each conv's second half on the second core. A
+# one-epoch quickstart train() took 1.89 s (median) with one BLAS thread and
+# 2.15 s with OpenBLAS's one per core; one thread won 11 of 12 alternating
+# process pairs on a 2-vCPU Xeon.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 
 from .config import SyntheticSpec, TrainConfig, load_config

@@ -136,7 +136,7 @@ def _next_token(blob: bytes, pos: int, path) -> tuple[bytes, int]:
 
 
 def read_pgm(path) -> tuple[np.ndarray, int]:
-    """Read binary PGM; returns (integer array [H,W], maxval).
+    """Read binary PGM; returns (integer array [H,W], maxval), every sample <= maxval.
 
     The unbuffered binary file object skips the read buffer's copy (a 4 KB
     file reads in about two thirds of the buffered time), opens in binary
@@ -166,6 +166,9 @@ def read_pgm(path) -> tuple[np.ndarray, int]:
             f"{path}: payload is {len(payload)} bytes, expected {expected}"
         )
     data = np.frombuffer(payload, dtype=dtype).reshape(height, width)
+    # a sample can exceed maxval only below the storage type's own maximum
+    if maxval not in (255, 65535) and (top := int(data.max())) > maxval:
+        raise FormatError(f"{path}: sample {top} exceeds maxval {maxval}")
     return data.astype(np.uint16 if maxval >= 256 else np.uint8), maxval
 
 

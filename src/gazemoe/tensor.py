@@ -20,11 +20,12 @@ and reallocates the same multi-MB activations every step; with glibc's
 defaults each of them came back as new pages, which cost a page fault
 per 4 KiB: about 82k minor faults per quickstart training call and 50k
 per 1000-sample evaluation on a 2-vCPU Xeon, against none with this
-policy. Every thread also shares the one arena: the evaluation pass runs
-on pool threads, and memory they freed in arenas of their own stayed
-there, out of training's reach (quickstart training call peak RSS 133
--> 166 MB with per-thread arenas, 114 MB with one). Where ``mallopt`` is
-missing (not glibc) this is skipped.
+policy. Every thread also shares the one arena: the helper thread runs
+half of each evaluation pass, and memory a thread frees into an arena of
+its own stays there, out of training's reach (quickstart training call
+peak RSS 133 -> 166 MB with per-thread arenas, 114 MB with one, measured
+with evaluation on two pool threads). Where ``mallopt`` is missing (not
+glibc) this is skipped.
 
 Top-k style index selection is deliberately *not* differentiable: the
 indexing ops move values around and route gradients back to where they
@@ -40,17 +41,12 @@ A stride-1 conv with a square kernel wider than its padding gets its
 input gradient as a conv of the output gradient with the flipped kernel;
 every other conv folds each chunk's ``w.T @ g`` back into the input.
 
-In a process that may use two CPUs, a conv of two or more chunks splits
-them at a chunk boundary: the calling thread runs the first half, and
-one helper thread, started at the first split and kept for the life of
-the process, runs the second, so a training step's convs use two cores.
-BLAS releases the GIL, so the halves' GEMMs overlap. Each chunk's BLAS
-calls are the serial loop's, the halves write disjoint samples of the
-output and of the folded input gradient, and the caller adds the
-kernel-gradient partials in chunk order, so the bits are those of one
-thread. Threads that already run side by side, the evaluation workers,
-hold ``serial_convs``, and the helper thread is marked the same way when
-it starts: neither splits, so no third thread gets busy.
+The program's one second thread is a helper, started at the first share
+and kept for the life of the process; ``_split_map`` shares a list of
+items with it and states the one rule that keeps at most two threads
+busy. A conv of two or more chunks shares its two halves, so a training
+step's convs use two cores (BLAS releases the GIL); the evaluation pass
+shares its batches, and their convs run inline.
 
 ``conv2d`` also takes an optional epilogue: after the GEMMs it adds the
 bias, then the residual, then applies relu, in place on the whole output.
@@ -129,23 +125,10 @@ def usable_cpus() -> int:
 
 
 class _SplitMode(threading.local):
-    enabled = True  # each thread may split its convs over the helper
+    enabled = True  # this thread may share work with the helper
 
 
 _split_mode = _SplitMode()
-
-
-class serial_convs:
-    """Context manager that runs the calling thread's convs all on that thread."""
-
-    def __enter__(self):
-        self._prev = _split_mode.enabled
-        _split_mode.enabled = False
-        return self
-
-    def __exit__(self, *exc):
-        _split_mode.enabled = self._prev
-        return False
 
 
 def _hold_serial() -> None:
@@ -157,11 +140,11 @@ _helper_lock = threading.Lock()
 
 
 def _helper() -> futures.ThreadPoolExecutor:
-    """The one helper thread's pool, made at first use; its thread never splits."""
+    """The one helper thread's pool, made at first use; its thread never shares."""
     global _helper_pool
     with _helper_lock:
         if _helper_pool is None:
-            _helper_pool = futures.ThreadPoolExecutor(1, "conv-split", initializer=_hold_serial)
+            _helper_pool = futures.ThreadPoolExecutor(1, "split-helper", initializer=_hold_serial)
         return _helper_pool
 
 
@@ -557,26 +540,43 @@ def _patch_chunks(x: np.ndarray, kh: int, kw: int, stride: int, pad: int, oh: in
         yield b0, cols.reshape(C * kh * kw, n, oh * ow)
 
 
-def _run_chunks(run: Callable[[int, int], object], B: int, nb: int) -> list:
-    """``[run(0, B)]``, or ``[run(0, mid), run(mid, B)]`` with the second on the helper.
+def _drain(fn: Callable, todo: Iterable[tuple[int, object]], results: list) -> None:
+    # two threads may share ``todo``: each next() on it is one C call, atomic under the GIL
+    for i, item in todo:
+        results[i] = fn(item)
 
-    A conv's chunks split only when there are at least two, the calling
-    thread does not hold ``serial_convs`` and the process may use two CPUs.
-    ``mid`` is a multiple of ``nb``, so each half runs the serial loop's
-    chunks, and the caller takes the odd chunk. Both halves have finished
-    before this returns or raises, so none still writes when the caller
-    moves on; an error from either half propagates.
+
+def _split_map(fn: Callable, items: Sequence) -> list:
+    """``[fn(item) for item in items]``, the items shared with the helper thread.
+
+    This thread and the helper each take the next untaken item until none
+    is left; results come back in item order. It shares only with at least
+    two items, in a process that may use two CPUs, on a thread not already
+    inside a share: this thread clears its flag while it drains and the
+    helper's is always clear, so a nested call runs inline and nothing on
+    the helper ever waits for the helper. Both threads are done with the
+    items before this returns or raises; an error from either propagates.
     """
-    chunks = -(-B // nb)
-    if chunks < 2 or not _split_mode.enabled or usable_cpus() < 2:
-        return [run(0, B)]
-    mid = (chunks + 1) // 2 * nb
-    tail = _helper().submit(run, mid, B)
+    if len(items) < 2 or not _split_mode.enabled or usable_cpus() < 2:
+        return [fn(item) for item in items]
+    results = [None] * len(items)
+    todo = enumerate(items)
+    helper = _helper().submit(_drain, fn, todo, results)
+    _split_mode.enabled = False
     try:
-        head = run(0, mid)
+        _drain(fn, todo, results)
     finally:
-        futures.wait((tail,))
-    return [head, tail.result()]
+        _split_mode.enabled = True
+        futures.wait((helper,))
+    helper.result()
+    return results
+
+
+def _chunk_halves(x: np.ndarray, kh: int, kw: int, oh: int, ow: int) -> list[tuple[int, int]]:
+    """A conv's samples as one range, or as two split at the middle patch-chunk boundary."""
+    B, nb = len(x), _chunk_samples(x, kh, kw, oh, ow)
+    mid = (-(-B // nb) + 1) // 2 * nb  # the first half takes the odd chunk
+    return [(0, B)] if mid >= B else [(0, mid), (mid, B)]
 
 
 def _conv_forward(x: np.ndarray, w: np.ndarray, stride: int, pad: int,
@@ -585,7 +585,7 @@ def _conv_forward(x: np.ndarray, w: np.ndarray, stride: int, pad: int,
     """Cross-correlate [B,C,H,W] with [O,C,kh,kw] -> contiguous [B,O,H',W'].
 
     Each chunk's GEMM writes its samples' rows of the output directly, the
-    chunks split between this thread and the helper (``_run_chunks``); the
+    chunks in two halves shared with the helper (``_split_map``); the
     epilogue (``+ bias``, ``+ residual``, then relu) then runs once, on this
     thread, in place on the whole output.
     """
@@ -597,11 +597,11 @@ def _conv_forward(x: np.ndarray, w: np.ndarray, stride: int, pad: int,
     extra = [a for a in (bias, residual) if a is not None]
     out = np.empty((B, O, oh * ow), dtype=np.result_type(x, w, *extra))
 
-    def gemm_rows(start, stop):
-        for b0, cols in _patch_chunks(x, kh, kw, stride, pad, oh, ow, start, stop):
+    def gemm_rows(span):
+        for b0, cols in _patch_chunks(x, kh, kw, stride, pad, oh, ow, *span):
             np.matmul(wmat, cols.transpose(1, 0, 2), out=out[b0 : b0 + cols.shape[1]])
 
-    _run_chunks(gemm_rows, B, _chunk_samples(x, kh, kw, oh, ow))
+    _split_map(gemm_rows, _chunk_halves(x, kh, kw, oh, ow))
     if bias is not None:
         out += bias[:, None]
     if residual is not None:
@@ -639,15 +639,13 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0, bias: Tensor | N
     output is exactly H x W); otherwise each chunk's ``w.T @ g`` is folded
     back with one slice-add per kernel offset.
 
-    On a thread that does not hold ``serial_convs``, in a process that
-    may use two CPUs, the forward GEMMs, the kernel-gradient loop (with
-    its fold) and the transposed input-gradient conv each split their
-    chunks at a chunk boundary: this thread runs the first half and the
-    helper thread the second. The bits match one thread's: each chunk
-    and its BLAS calls are the same, the halves write disjoint samples,
-    each half returns its chunks' kernel-gradient partials and this thread
-    adds them in chunk order, and the epilogue, relu mask and bias sum run
-    here, once, after both halves.
+    The forward GEMMs, the kernel-gradient loop (with its fold) and the
+    transposed input-gradient conv each share their chunks with the helper
+    thread as two halves split at a chunk boundary (``_split_map``). The
+    bits match one thread's: each chunk and its BLAS calls are the same,
+    the halves write disjoint samples, this thread adds the halves'
+    kernel-gradient partials in chunk order, and the epilogue, relu mask
+    and bias sum run here, once, after both halves.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise DimensionError(f"conv2d expects 4-d input and kernel, got {x.shape} and {w.shape}")
@@ -682,10 +680,10 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0, bias: Tensor | N
         if folded_dx:
             dxp = np.zeros((C, B, H + 2 * pad, W + 2 * pad), dtype=g.dtype)
 
-        def kernel_partials(start, stop):
+        def kernel_partials(span):
             """Each chunk's ``g @ cols.T``, in chunk order; folds its ``w.T @ g`` too."""
             partials = []
-            for b0, cols in _patch_chunks(x.data, kh, kw, stride, pad, oh, ow, start, stop):
+            for b0, cols in _patch_chunks(x.data, kh, kw, stride, pad, oh, ow, *span):
                 n = cols.shape[1]
                 gm = g[b0 : b0 + n].transpose(1, 0, 2, 3).reshape(O, -1)  # [O, n*L]
                 partials.append(gm @ cols.reshape(C * kh * kw, -1).T)
@@ -699,7 +697,7 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0, bias: Tensor | N
             return partials
 
         gw = np.zeros((O, C * kh * kw), dtype=np.result_type(g, x.data))
-        for half in _run_chunks(kernel_partials, B, _chunk_samples(x.data, kh, kw, oh, ow)):
+        for half in _split_map(kernel_partials, _chunk_halves(x.data, kh, kw, oh, ow)):
             for partial in half:
                 gw += partial
         if transposed_dx:

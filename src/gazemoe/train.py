@@ -4,7 +4,7 @@ batches, per-epoch CSV metrics, and best/final checkpoints.
 The per-epoch metrics, ``eval`` and ``route-dump`` share one
 gradient-free chunked pass over a split (``_forward_split``), which
 stitches each branch's routing into one record covering every row. It
-runs two chunks at a time on a short-lived thread pool and combines
+shares its chunks with the tensor module's helper thread and combines
 them in chunk order, so its floats are those of a serial loop. Pixels
 are decoded once per run and cached as the PGM's integers and maxval
 (an eighth of float64 for 8-bit files); each batch is scaled to [0,1]
@@ -23,7 +23,6 @@ from __future__ import annotations
 import csv
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,11 +95,6 @@ def _assemble(rows, cache, dtype, augment_cfg=None, rng=None):
     )
 
 
-def _chunks(rows, size):
-    for start in range(0, len(rows), size):
-        yield rows[start : start + size]
-
-
 def _fold_rows(manifests: list[SampleManifest], config: TrainConfig, fold: int
                ) -> tuple[list[SampleManifest], list[SampleManifest]]:
     """(train rows, test rows) of one subject-wise fold of ``config``'s split."""
@@ -125,30 +119,23 @@ def _forward_split(model: HybridMoeNet, rows, cache, batch_size, lb_weight):
     batch-level quantity, so it is averaged over chunks weighted by
     chunk size.
 
-    Chunks run two at a time (one per CPU this process may use, at most
-    two, counted by ``tensor.usable_cpus``) on a thread pool that lives
-    only for this call: BLAS and numpy's large array loops release the
-    GIL, so the two chunks' convs overlap. Every numpy call is also a GIL
-    hand-off between the two workers, so the conv keeps its numpy calls
-    per patch chunk few. The workers already keep both cores busy, so they
-    hold ``tensor.serial_convs``: their convs never split over the conv
-    helper thread. Each chunk's result is its own, and the sums and
-    concatenations below run on this thread in chunk order, so the floats
-    are those of a serial loop.
+    The chunks go to ``tensor._split_map``, so this thread and the helper
+    each forward the next untaken chunk. Each chunk's result is its own,
+    and the sums and concatenations below run on this thread in chunk
+    order, so the floats are those of a serial loop.
     """
     if not rows:
         raise ConfigError("cannot evaluate an empty split")
 
     def forward(chunk):
         images, heatmaps, labels = _assemble(chunk, cache, model.dtype)
-        with T.no_grad(), T.serial_convs():
+        with T.no_grad():
             logits, records = model(images, heatmaps)
             _, cls, lb = objective(logits, records, labels, lb_weight)
         return logits.data, labels, records, cls * len(chunk), lb * len(chunk)
 
-    with ThreadPoolExecutor(min(2, T.usable_cpus())) as pool:
-        logits, labels, records, cls, lb = zip(*pool.map(forward,
-                                                         _chunks(rows, batch_size)))
+    chunks = [rows[i : i + batch_size] for i in range(0, len(rows), batch_size)]
+    logits, labels, records, cls, lb = zip(*T._split_map(forward, chunks))
     cls_sum = 0.0
     lb_sum = 0.0
     # a plain loop, not sum(): from Python 3.12 sum() compensates float error

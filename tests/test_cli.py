@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gazemoe import cli, experiments
+from gazemoe import train as train_module
 from gazemoe.cli import main
 from gazemoe.config import (AugmentConfig, ModelConfig, SyntheticSpec, TrainConfig,
                             config_from_text, load_config)
@@ -126,6 +127,17 @@ class TestUsage:
                               env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 1
         assert "usage:" in proc.stderr
+
+    def test_blas_gets_one_thread_unless_the_user_set_one(self):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        code = f"import os, gazemoe.cli; print(*(os.environ[n] for n in {names}))"
+        env = {k: v for k, v in os.environ.items() if k not in names}
+        for user, want in (({}, "1 1 1"), ({"OMP_NUM_THREADS": "3"}, "1 3 1")):
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                  env={**env, **user, "PYTHONPATH": path}, timeout=60)
+            assert proc.stdout.strip() == want, proc.stderr
 
 
 class TestSynthGen:
@@ -420,14 +432,20 @@ class TestEval:
             assert len(err) < 200
 
     def test_heatmap_above_1_in_a_later_chunk_exits_1(self, workspace, tmp_path,
-                                                     capsys):
-        # an 8-bit PGM whose samples exceed its maxval scales past 1; the
-        # gaze encoder refuses it inside a pool thread, and the error must
-        # reach the caller as if the chunks had run on its own thread
+                                                     capsys, monkeypatch):
+        # a heatmap cached as samples above its maxval scales past 1; the gaze
+        # encoder refuses it inside a chunk that either thread may run, and the
+        # error must reach the caller as if the chunks had run on its own thread.
+        # read_pgm refuses such a file, so a reader that lets it through stands in
         rows = load_manifest(workspace["manifest"])
         hot = os.path.join(tmp_path, "hot.pgm")
-        with open(hot, "wb") as fh:
-            fh.write(b"P5\n24 24\n100\n" + bytes([255]) * 24 * 24)
+        write_pgm(hot, np.zeros((24, 24)))
+        real = train_module.read_pgm
+
+        def lenient(path):
+            return (np.full((24, 24), 255, np.uint8), 100) if path == hot else real(path)
+
+        monkeypatch.setattr(train_module, "read_pgm", lenient)
         m = rows[20]  # batch_size is 12: the second chunk
         rows[20] = SampleManifest(m.sample_id, m.image_path, hot, m.label, m.subject_id)
         manifest = os.path.join(tmp_path, "manifest.csv")
@@ -440,6 +458,19 @@ class TestEval:
                         "--manifest", manifest]) == 1
         assert_one_line_error(capsys.readouterr().err, "heatmap values", "2.55")
         assert threading.active_count() == threads
+
+    def test_sample_above_maxval_exits_1_naming_the_file(self, workspace, tmp_path, capsys):
+        rows = load_manifest(workspace["manifest"])
+        hot = os.path.join(tmp_path, "hot.pgm")
+        with open(hot, "wb") as fh:
+            fh.write(b"P5\n24 24\n100\n" + bytes([255]) * 24 * 24)
+        m = rows[5]
+        rows[5] = SampleManifest(m.sample_id, hot, m.heatmap_path, m.label, m.subject_id)
+        manifest = os.path.join(tmp_path, "manifest.csv")
+        write_manifest(manifest, rows)
+        assert run_cli(["eval", "--checkpoint", workspace["checkpoint"],
+                        "--manifest", manifest]) == 1
+        assert_one_line_error(capsys.readouterr().err, hot, "sample 255 exceeds maxval 100")
 
     def test_manifest_row_naming_a_directory_exits_1_naming_it(self, workspace, tmp_path,
                                                                capsys):

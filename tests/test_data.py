@@ -213,6 +213,30 @@ class TestPgm:
         with pytest.raises(FormatError, match="non-numeric"):
             read_pgm(path)
 
+    @pytest.mark.parametrize("maxval, samples, top", [
+        (100, bytes([50, 200]), 200),
+        (1000, (999).to_bytes(2, "big") + (5000).to_bytes(2, "big"), 5000),
+    ])
+    def test_sample_above_maxval_is_format_error(self, tmp_path, maxval, samples, top):
+        path = os.path.join(tmp_path, "t.pgm")
+        with open(path, "wb") as fh:
+            fh.write(b"P5\n2 1\n%d\n" % maxval + samples)
+        with pytest.raises(FormatError, match=f"sample {top} exceeds maxval {maxval}") as info:
+            read_pgm(path)
+        assert path in str(info.value)
+
+    @pytest.mark.parametrize("maxval, samples", [
+        (100, bytes([100, 0])),
+        (1000, (1000).to_bytes(2, "big") + (0).to_bytes(2, "big")),
+    ])
+    def test_sample_at_maxval_reads(self, tmp_path, maxval, samples):
+        path = os.path.join(tmp_path, "t.pgm")
+        with open(path, "wb") as fh:
+            fh.write(b"P5\n2 1\n%d\n" % maxval + samples)
+        data, got = read_pgm(path)
+        assert got == maxval
+        np.testing.assert_array_equal(data, [[maxval, 0]])
+
     def test_payload_with_newline_and_eof_bytes_reads_whole(self, tmp_path):
         # a text-mode read would turn CR LF into LF and stop at 0x1A
         path = os.path.join(tmp_path, "t.pgm")

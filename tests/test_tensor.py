@@ -345,87 +345,117 @@ def _three_chunk_case(geometry, dtype, monkeypatch, seed=0):
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("geometry", list(CONV_GEOMETRIES))
 def test_conv2d_split_over_the_helper_matches_serial_bitwise(geometry, dtype, monkeypatch,
-                                                             conv_helper_calls):
+                                                             helper_jobs):
     x, w, g, stride, pad = _three_chunk_case(geometry, dtype, monkeypatch)
-    with T.serial_convs():
+    with monkeypatch.context() as one_cpu:
+        one_cpu.setattr(T, "usable_cpus", lambda: 1)
         serial = _conv_run(x, w, g, stride, pad)
-    assert conv_helper_calls == []
+    assert helper_jobs == []
     split = _conv_run(x, w, g, stride, pad)
-    # the forward and the kernel-gradient loop each hand chunk 3 (samples 4..5)
-    # to the helper, and so does the transposed-dx conv of a stride-1 geometry
-    assert conv_helper_calls[:2] == [(4, 5), (4, 5)]
+    # the forward and the kernel-gradient loop each share the halves (0, 4) and
+    # (4, 5), the helper taking (0, 4) first; the transposed-dx conv of a
+    # stride-1 geometry shares too
+    assert [job[0] for job in helper_jobs[:2]] == [(0, 4), (0, 4)]
     for got, want in zip(split, serial):
         assert got.dtype == dtype
         assert got.tobytes() == want.tobytes()
 
 
-def test_serial_convs_holds_only_on_its_own_thread_and_restores(conv_helper_calls):
-    assert T._split_mode.enabled
-    with T.serial_convs():
-        with T.serial_convs():
-            pass
-        assert not T._split_mode.enabled
-        seen = []
-        worker = threading.Thread(target=lambda: seen.append(T._split_mode.enabled))
-        worker.start()
-        worker.join(10)
-        assert seen == [True]
+def test_split_map_returns_results_in_item_order(helper_jobs):
+    def slow_square(i):
+        time.sleep(0.002 * (i % 3))  # items finish out of order
+        return i * i
+
+    assert T._split_map(slow_square, range(12)) == [i * i for i in range(12)]
+    assert len(helper_jobs) == 1 and helper_jobs[0][0] == 0
     assert T._split_mode.enabled
 
 
-def test_one_chunk_conv_never_submits_to_the_helper(conv_helper_calls):
+def test_a_nested_split_map_runs_inline(helper_jobs):
+    def outer(i):
+        ran_on = []
+
+        def inner(j):
+            ran_on.append(threading.current_thread())
+            return 10 * i + j
+
+        results = T._split_map(inner, [0, 1, 2])
+        assert ran_on == [threading.current_thread()] * 3
+        time.sleep(0.05)  # so both threads take an outer item
+        return results
+
+    assert T._split_map(outer, [1, 2, 3]) == [[10, 11, 12], [20, 21, 22], [30, 31, 32]]
+    # one job, the outer one; the helper ran item 1 and its inner items itself
+    assert len(helper_jobs) == 1 and helper_jobs[0][0] == 1
+    assert T._split_mode.enabled
+
+
+def test_split_map_of_one_item_or_on_one_cpu_never_submits(monkeypatch, helper_jobs):
+    assert T._split_map(str, [7]) == ["7"]
+    assert T._split_map(str, []) == []
+    monkeypatch.setattr(T, "usable_cpus", lambda: 1)
+    assert T._split_map(str, [1, 2, 3]) == ["1", "2", "3"]
+    assert helper_jobs == []
+
+
+def test_one_chunk_conv_never_submits_to_the_helper(helper_jobs):
     rng = np.random.default_rng(1)
     # stride 2 folds the input gradient, stride 1 runs it as a transposed conv
     for stride in (1, 2):
         _conv_run(rng.normal(size=(4, 3, 8, 8)), rng.normal(size=(5, 3, 3, 3)),
                   rng.normal(size=(4, 5, 8 // stride, 8 // stride)), stride, 1)
-    assert conv_helper_calls == []
+    assert helper_jobs == []
 
 
 @pytest.mark.parametrize("phase", ["forward", "backward"])
 @pytest.mark.parametrize("failing", ["caller", "helper"])
 def test_an_error_in_either_half_propagates_once_both_halves_finish(failing, phase,
                                                                      monkeypatch,
-                                                                     conv_helper_calls):
+                                                                     helper_jobs):
     x, w, g, stride, pad = _three_chunk_case("2-1", np.float64, monkeypatch)
     xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
     out = T.conv2d(xt, wt, stride=stride, pad=pad) if phase == "backward" else None
+    del helper_jobs[:]
     real = T._patch_chunks
+    caller = threading.current_thread()
     finished = []
 
     def chunks(x, kh, kw, stride, pad, oh, ow, start, stop):
-        # the caller's half is samples [0, 4), the helper's [4, 5)
-        if (start == 0) == (failing == "caller"):
-            raise RuntimeError(f"chunk failed in the {failing}'s half")
+        # the helper takes the half (0, 4) first, the caller then takes (4, 5)
+        if (threading.current_thread() is caller) == (failing == "caller"):
+            raise RuntimeError(f"chunk failed on the {failing}")
         for chunk in real(x, kh, kw, stride, pad, oh, ow, start, stop):
-            time.sleep(0.05)  # still running when the other half fails
+            time.sleep(0.05)  # still running when the other thread fails
             yield chunk
         finished.append(start)
 
     monkeypatch.setattr(T, "_patch_chunks", chunks)
-    with pytest.raises(RuntimeError, match=f"the {failing}'s half"):
+    with pytest.raises(RuntimeError, match=f"failed on the {failing}"):
         if phase == "forward":
             T.conv2d(xt, wt, stride=stride, pad=pad)
         else:
             out._backward(g)
-    assert finished == ([4] if failing == "caller" else [0])
+    assert helper_jobs == [[(0, 4)]]
+    assert finished == ([0] if failing == "caller" else [4])
     monkeypatch.setattr(T, "_patch_chunks", real)
-    # the helper thread is still there for the next conv
-    calls = len(conv_helper_calls)
-    with T.serial_convs():
+    # the caller's next conv shares again, with the serial bits
+    assert T._split_mode.enabled
+    with monkeypatch.context() as one_cpu:
+        one_cpu.setattr(T, "usable_cpus", lambda: 1)
         want = _conv_run(x, w, g, stride, pad)
     got = _conv_run(x, w, g, stride, pad)
-    assert len(conv_helper_calls) > calls
+    assert len(helper_jobs) >= 3
     assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
 
 def test_two_threads_calling_conv2d_at_once_both_get_serial_results(monkeypatch,
-                                                                     conv_helper_calls):
+                                                                     helper_jobs):
     # the 3x3-s1-p1 geometry takes the transposed-dx path, 2-1 the fold
     cases = [_three_chunk_case(name, np.float64, monkeypatch, seed)
              for seed, name in enumerate(("3x3-s1-p1", "2-1"))]
     monkeypatch.setattr(T, "_PATCH_BYTES", 1)  # one sample per chunk for both
-    with T.serial_convs():
+    with monkeypatch.context() as one_cpu:
+        one_cpu.setattr(T, "usable_cpus", lambda: 1)
         want = [_conv_run(*case) for case in cases]
     start = threading.Barrier(2)
     got = [[], []]
@@ -446,7 +476,7 @@ def test_two_threads_calling_conv2d_at_once_both_get_serial_results(monkeypatch,
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert len(conv_helper_calls) >= 2 * 20 * 2
+    assert len(helper_jobs) >= 2 * 20 * 2
     for runs, ref in zip(got, want):
         assert len(runs) == 20
         for run in runs:

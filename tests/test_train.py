@@ -20,6 +20,7 @@ from gazemoe.data import (SampleManifest, augment, generate_synthetic, load_mani
 from gazemoe.errors import ConfigError, FormatError, NumericsError
 from gazemoe.losses import objective
 from gazemoe.metrics import usage_entropy
+from gazemoe.model import HybridMoeNet
 from gazemoe.serialize import load_checkpoint, save_checkpoint
 from gazemoe.tensor import Tensor, no_grad
 from gazemoe.train import (_assemble, _forward_split, _load_pixels, evaluate,
@@ -152,16 +153,17 @@ class TestReproducibility:
             assert a == b, fname
 
     def test_split_convs_write_the_serial_bytes(self, dataset, tmp_path, monkeypatch,
-                                                 conv_helper_calls):
+                                                 helper_jobs):
         # gate 8 under threads: small patch chunks split every training conv over
         # the helper thread, and the run's files are those of a one-thread run
         monkeypatch.setattr(T, "_PATCH_BYTES", 1 << 15)
         cfg = make_config(epochs=2)
-        with T.serial_convs():
+        with monkeypatch.context() as one_cpu:
+            one_cpu.setattr(T, "usable_cpus", lambda: 1)
             serial = train(cfg, dataset, os.path.join(tmp_path, "serial"))
-        assert conv_helper_calls == []
+        assert helper_jobs == []
         split = train(cfg, dataset, os.path.join(tmp_path, "split"))
-        assert conv_helper_calls
+        assert any(isinstance(job[0], tuple) for job in helper_jobs)  # conv halves
         assert Path(split.metrics_path).read_bytes() == Path(serial.metrics_path).read_bytes()
         for sub in ("best_dir", "final_dir"):
             a, b = Path(getattr(split, sub)), Path(getattr(serial, sub))
@@ -265,14 +267,14 @@ class TestSplitPass:
         cache = _load_pixels(rows)
         threads = threading.active_count()
         interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # hand the GIL between the workers at every chance
+        sys.setswitchinterval(1e-6)  # hand the GIL between the two threads at every chance
         try:
             logits, _, _, _, _ = _forward_split(model, rows, cache, batch, cfg.lb_weight)
             report = evaluate_split(model, rows, cache, batch, cfg.lb_weight)
         finally:
             sys.setswitchinterval(interval)
         assert threading.active_count() == threads
-        # the pool's no_grad stayed on its worker threads: this thread still records
+        # no_grad ends with each chunk's forward: this thread still records
         assert (Tensor([1.0], requires_grad=True) * 2.0).requires_grad
 
         # reference: one chunk after another on this thread, pixels from load_image
@@ -304,24 +306,49 @@ class TestSplitPass:
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
 
-    def test_split_pass_workers_never_split_their_convs(self, run, dataset, monkeypatch,
-                                                        conv_helper_calls):
-        # the two workers already keep both cores busy: no third busy thread
+    def test_split_pass_submits_one_job_and_its_convs_none(self, run, dataset, monkeypatch,
+                                                           helper_jobs):
+        # the deadlock guard: a conv inside a shared chunk runs inline on
+        # either thread, so nothing on the helper waits for the helper
         _, res = run
         model, cfg = load_model(res.final_dir)
         rows = load_manifest(dataset, num_classes=3)
         cache = _load_pixels(rows)
         want = _forward_split(model, rows, cache, 8, cfg.lb_weight)
+        del helper_jobs[:]
         monkeypatch.setattr(T, "_PATCH_BYTES", 1 << 12)  # many chunks per conv
         got = _forward_split(model, rows, cache, 8, cfg.lb_weight)
-        assert conv_helper_calls == []
+        assert len(helper_jobs) == 1
+        assert helper_jobs[0][0] == rows[:8]  # the helper's items are chunks of rows
+        assert all(isinstance(chunk, list) for chunk in helper_jobs[0])
         assert got[0].tobytes() == want[0].tobytes()
-        # the same forward on this thread does split
+        # the same forward on this thread, outside a share, does split its convs
         images, heatmaps, _ = _assemble(rows[:8], cache, model.dtype)
         with no_grad():
             logits, _ = model(images, heatmaps)
-        assert conv_helper_calls
+        assert len(helper_jobs) > 1 and isinstance(helper_jobs[1][0], tuple)
         assert logits.data.tobytes() == want[0][:8].tobytes()
+
+    def test_every_forward_runs_on_this_thread_or_the_helper(self, dataset, tmp_path,
+                                                             monkeypatch):
+        # one second thread for the whole program: the training convs and the
+        # evaluation pass share the one helper, and no other thread starts
+        before = threading.active_count()
+        monkeypatch.setattr(T, "usable_cpus", lambda: 2)
+        helper = T._helper().submit(threading.current_thread).result()
+        seen = []  # (thread, live thread count) at each model forward
+        real = HybridMoeNet.__call__
+
+        def forward(self, *args):
+            seen.append((threading.current_thread(), threading.active_count()))
+            return real(self, *args)
+
+        monkeypatch.setattr(HybridMoeNet, "__call__", forward)
+        res = train(make_config(epochs=2), dataset, str(tmp_path))
+        evaluate(res.final_dir, dataset)
+        assert len(seen) > 2 * 2
+        assert {thread for thread, _ in seen} <= {threading.current_thread(), helper}
+        assert max(count for _, count in seen) <= before + 1
 
     def test_split_pass_runs_without_sched_getaffinity(self, run, dataset, monkeypatch):
         # macOS and Windows have no os.sched_getaffinity
