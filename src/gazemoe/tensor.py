@@ -41,12 +41,16 @@ A stride-1 conv with a square kernel wider than its padding gets its
 input gradient as a conv of the output gradient with the flipped kernel;
 every other conv folds each chunk's ``w.T @ g`` back into the input.
 
-The program's one second thread is a helper, started at the first share
-and kept for the life of the process; ``_split_map`` shares a list of
-items with it and states the one rule that keeps at most two threads
-busy. A conv of two or more chunks shares its two halves, so a training
-step's convs use two cores (BLAS releases the GIL); the evaluation pass
-shares its batches, and their convs run inline.
+The program's one second thread is a helper, started at first use and
+kept for the life of the process; ``_split_map`` shares a list of items
+with it and states the one rule that keeps at most two threads busy. A
+conv of two or more chunks shares its two halves, so a training step's
+convs use two cores (BLAS releases the GIL); the evaluation pass shares
+its batches, and their convs run inline. During ``backward`` each conv
+also hands its kernel and bias gradients to the helper as one deferred
+task (``_defer``): only Adam reads them, after the walk, so the walk
+carries input gradients on meanwhile and waits for the task once, at
+the end, or earlier only where a later rule needs its value.
 
 ``conv2d`` also takes an optional epilogue: after the GEMMs it adds the
 bias, then the residual, then applies relu, in place on the whole output.
@@ -284,6 +288,15 @@ def backward(loss: Tensor) -> None:
     intermediates, raises ``ContractError`` while the graph is being
     ordered, so no ``.grad`` changes. Calls over separate graphs
     accumulate into ``.grad`` until ``zero_grad``.
+
+    A rule may return a gradient its task is still computing on the
+    helper thread (``_defer``; the conv's kernel and bias gradients). The
+    walk passes it on like any adjoint and waits for it only where it is
+    added to another adjoint or handed to a non-leaf's rule. Leaf
+    adjoints are added into ``.grad`` after the walk, in walk order, so
+    the sums are those of a walk that never deferred. This returns or
+    raises only once every task it forked has finished; if a rule or a
+    task raises, no ``.grad`` changes.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -309,31 +322,42 @@ def backward(loss: Tensor) -> None:
             if parent.requires_grad:
                 stack.append((parent, False))
 
-    adjoint: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    loss.accumulate_grad(adjoint[id(loss)])
-    for i in range(len(nodes) - 1, -1, -1):
-        node = nodes[i]
-        # unhook the node first: once its rule has run, nothing but the
-        # caller's own names keeps its inputs or their saved arrays alive
-        parents, back = node._parents, node._backward
-        node._parents = ()
-        node._backward = _consumed
-        nodes[i] = None
-        g = adjoint.pop(id(node), None)
-        if g is None:
-            continue
-        for parent, pg in zip(parents, back(g)):
-            if pg is None or not parent.requires_grad:
+    seed = np.ones_like(loss.data)
+    adjoint: dict[int, np.ndarray | _Deferred] = {id(loss): seed}
+    # (tensor, adjoint) in walk order; no .grad changes until the walk is done
+    flushes = [(loss, seed)]
+    tasks = _walk.tasks = []
+    try:
+        for i in range(len(nodes) - 1, -1, -1):
+            node = nodes[i]
+            # unhook the node first: once its rule has run, nothing but the
+            # caller's own names keeps its inputs or their saved arrays alive
+            parents, back = node._parents, node._backward
+            node._parents = ()
+            node._backward = _consumed
+            nodes[i] = None
+            g = adjoint.pop(id(node), None)
+            if g is None:
                 continue
-            key = id(parent)
-            if key in adjoint:
-                adjoint[key] = adjoint[key] + pg
-            else:
-                adjoint[key] = pg
-        # leaves are never op nodes, so flush their adjoints here
-        for parent in parents:
-            if parent.requires_grad and parent.is_leaf and id(parent) in adjoint:
-                parent.accumulate_grad(adjoint.pop(id(parent)))
+            for parent, pg in zip(parents, back(_ready(g))):
+                if pg is None or not parent.requires_grad:
+                    continue
+                key = id(parent)
+                if key in adjoint:
+                    adjoint[key] = _ready(adjoint[key]) + _ready(pg)
+                else:
+                    adjoint[key] = pg
+            # leaves are never op nodes, so queue their adjoints for .grad here
+            for parent in parents:
+                if parent.requires_grad and parent.is_leaf and id(parent) in adjoint:
+                    flushes.append((parent, adjoint.pop(id(parent))))
+    finally:
+        _walk.tasks = None
+        futures.wait(tasks)
+    for task in tasks:
+        task.result()  # a task's error, before any .grad changes
+    for tensor, g in flushes:
+        tensor.accumulate_grad(_ready(g))
 
 
 def _consumed(*_):
@@ -554,8 +578,11 @@ def _split_map(fn: Callable, items: Sequence) -> list:
     two items, in a process that may use two CPUs, on a thread not already
     inside a share: this thread clears its flag while it drains and the
     helper's is always clear, so a nested call runs inline and nothing on
-    the helper ever waits for the helper. Both threads are done with the
-    items before this returns or raises; an error from either propagates.
+    the helper ever waits for the helper. A helper job that has not started
+    by the time this thread has drained every item is cancelled, so a share
+    never waits behind work queued on the helper (``_defer``'s tasks).
+    Both threads are done with the items before this returns or raises; an
+    error from either propagates.
     """
     if len(items) < 2 or not _split_mode.enabled or usable_cpus() < 2:
         return [fn(item) for item in items]
@@ -567,9 +594,50 @@ def _split_map(fn: Callable, items: Sequence) -> list:
         _drain(fn, todo, results)
     finally:
         _split_mode.enabled = True
-        futures.wait((helper,))
-    helper.result()
+        started = not helper.cancel()
+        if started:
+            futures.wait((helper,))
+    if started:
+        helper.result()
     return results
+
+
+class _Walk(threading.local):
+    tasks: list | None = None  # the helper tasks forked by this thread's running backward
+
+
+_walk = _Walk()
+
+
+class _Deferred:
+    """Gradient ``i`` of a helper task's result, not yet waited for."""
+
+    __slots__ = ("task", "i")
+
+    def __init__(self, task: futures.Future, i: int):
+        self.task, self.i = task, i
+
+
+def _ready(g):
+    """``g`` itself, or the value it defers once its task has finished."""
+    return g.task.result()[g.i] if isinstance(g, _Deferred) else g
+
+
+def _defer(fn: Callable[[], tuple], n: int) -> tuple:
+    """``fn()``, a tuple of ``n`` gradients, computed off the backward walk.
+
+    Inside a ``backward`` walk, on a thread that may share (see
+    ``_split_map``), in a process that may use two CPUs, ``fn`` is queued
+    on the helper and each gradient comes back as a ``_Deferred`` that the
+    walk waits for when it needs the value; anywhere else ``fn`` runs here,
+    at once.
+    """
+    tasks = _walk.tasks
+    if tasks is None or not _split_mode.enabled or usable_cpus() < 2:
+        return fn()
+    task = _helper().submit(fn)
+    tasks.append(task)
+    return tuple(_Deferred(task, i) for i in range(n))
 
 
 def _chunk_halves(x: np.ndarray, kh: int, kw: int, oh: int, ow: int) -> list[tuple[int, int]]:
@@ -611,6 +679,40 @@ def _conv_forward(x: np.ndarray, w: np.ndarray, stride: int, pad: int,
     return out.reshape(B, O, oh, ow)
 
 
+def _conv_input_grad(g: np.ndarray, x: np.ndarray, w: np.ndarray, stride: int,
+                     pad: int) -> np.ndarray:
+    """The gradient of a conv of ``w`` over ``x`` with respect to ``x``, given ``g``.
+
+    A stride-1 conv with a square kernel wider than its padding gets it as a
+    conv of ``g`` with the flipped, transposed kernel; any other folds each
+    patch chunk's ``w.T @ g`` back into a zero-bordered input, one slice-add
+    per kernel offset. Either way the work is split in two halves at a
+    chunk boundary, shared with the helper (``_split_map``); the halves
+    write disjoint samples.
+    """
+    B, C, H, W = x.shape
+    O, _, kh, kw = w.shape
+    if stride == 1 and kh == kw and pad < kh:
+        return _conv_forward(g, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), 1, kh - 1 - pad)
+    oh, ow = g.shape[2:]
+    wmat = w.reshape(O, -1)
+    dxp = np.zeros((C, B, H + 2 * pad, W + 2 * pad), dtype=g.dtype)
+    nb = _chunk_samples(x, kh, kw, oh, ow)  # the patch matrix's chunks
+
+    def fold(span):
+        for b0 in range(*span, nb):
+            n = min(nb, span[1] - b0)
+            gm = g[b0 : b0 + n].transpose(1, 0, 2, 3).reshape(O, -1)  # [O, n*L]
+            dcols = (wmat.T @ gm).reshape(C, kh, kw, n, oh, ow)
+            for i in range(kh):
+                for j in range(kw):
+                    dxp[:, b0 : b0 + n, i : i + stride * oh : stride,
+                        j : j + stride * ow : stride] += dcols[:, i, j]
+
+    _split_map(fold, _chunk_halves(x, kh, kw, oh, ow))
+    return np.ascontiguousarray(dxp[:, :, pad : pad + H, pad : pad + W].transpose(1, 0, 2, 3))
+
+
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0, bias: Tensor | None = None,
            residual: Tensor | None = None, relu: bool = False) -> Tensor:
     """2-d cross-correlation with zero padding and a fused epilogue.
@@ -629,23 +731,25 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0, bias: Tensor | N
     per chunk. Forward GEMMs each chunk with ``w`` straight into the output,
     then applies the epilogue once to the whole output. Backward masks ``g``
     by ``out > 0`` when relu is fused (exactly where the pre-activation is
-    > 0), which is then the residual's gradient; the bias gets its sum over
-    (B, H', W'). It then rebuilds the chunks from ``x`` (keeping them would
-    hold a patch matrix per conv in the graph) and sums ``g @ cols.T`` per
-    chunk for the kernel.
-    The input gradient, when ``x`` needs one, is a stride-1 conv of ``g``
-    with the flipped, transposed kernel and padding ``k - 1 - pad`` if
-    ``stride == 1`` and the kernel is a square k x k with ``pad < k`` (its
-    output is exactly H x W); otherwise each chunk's ``w.T @ g`` is folded
-    back with one slice-add per kernel offset.
+    > 0), which is then the residual's gradient. The kernel gradient
+    rebuilds the chunks from ``x`` (keeping them would hold a patch matrix
+    per conv in the graph) and adds up ``g @ cols.T`` chunk by chunk; the
+    bias gets its sum over (B, H', W'). The input gradient, when ``x``
+    needs one, is a stride-1 conv of ``g`` with the flipped, transposed
+    kernel and padding ``k - 1 - pad`` if ``stride == 1`` and the kernel is
+    a square k x k with ``pad < k`` (its output is exactly H x W);
+    otherwise each chunk's ``w.T @ g`` is folded back with one slice-add
+    per kernel offset.
 
-    The forward GEMMs, the kernel-gradient loop (with its fold) and the
-    transposed input-gradient conv each share their chunks with the helper
-    thread as two halves split at a chunk boundary (``_split_map``). The
-    bits match one thread's: each chunk and its BLAS calls are the same,
-    the halves write disjoint samples, this thread adds the halves'
-    kernel-gradient partials in chunk order, and the epilogue, relu mask
-    and bias sum run here, once, after both halves.
+    The forward GEMMs and either input-gradient path share their chunks
+    with the helper thread as two halves split at a chunk boundary
+    (``_split_map``). Inside ``backward`` the kernel and bias gradients are
+    one deferred task (``_defer``) that the helper runs while this thread
+    computes the input gradient and the walk goes on; ``backward`` waits
+    for it (see there). The bits match one thread's: each chunk and its
+    BLAS calls are the same, the halves write disjoint samples, the
+    kernel-gradient loop runs the chunks in order on one thread, and the
+    epilogue and relu mask run here, once, on the whole array.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise DimensionError(f"conv2d expects 4-d input and kernel, got {x.shape} and {w.shape}")
@@ -674,42 +778,19 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0, bias: Tensor | N
     def back(g):
         if relu:
             g = g * (out > 0)
-        transposed_dx = x.requires_grad and stride == 1 and kh == kw and pad < kh
-        folded_dx = x.requires_grad and not transposed_dx
-        wmat = w.data.reshape(O, -1)
-        if folded_dx:
-            dxp = np.zeros((C, B, H + 2 * pad, W + 2 * pad), dtype=g.dtype)
 
-        def kernel_partials(span):
-            """Each chunk's ``g @ cols.T``, in chunk order; folds its ``w.T @ g`` too."""
-            partials = []
-            for b0, cols in _patch_chunks(x.data, kh, kw, stride, pad, oh, ow, *span):
-                n = cols.shape[1]
-                gm = g[b0 : b0 + n].transpose(1, 0, 2, 3).reshape(O, -1)  # [O, n*L]
-                partials.append(gm @ cols.reshape(C * kh * kw, -1).T)
-                if folded_dx:
-                    dcols = (wmat.T @ gm).reshape(C, kh, kw, n, oh, ow)
-                    # fold: one shifted slice-add per kernel offset
-                    for i in range(kh):
-                        for j in range(kw):
-                            dxp[:, b0 : b0 + n, i : i + stride * oh : stride,
-                                j : j + stride * ow : stride] += dcols[:, i, j]
-            return partials
+        def kernel_grads():
+            """The kernel gradient, ``g @ cols.T`` added chunk by chunk, and the bias's."""
+            gw = np.zeros((O, C * kh * kw), dtype=np.result_type(g, x.data))
+            for b0, cols in _patch_chunks(x.data, kh, kw, stride, pad, oh, ow, 0, B):
+                gm = g[b0 : b0 + cols.shape[1]].transpose(1, 0, 2, 3).reshape(O, -1)  # [O, n*L]
+                gw += gm @ cols.reshape(C * kh * kw, -1).T
+            gw = gw.reshape(w.shape)
+            return (gw,) if bias is None else (gw, g.sum(axis=(0, 2, 3)))
 
-        gw = np.zeros((O, C * kh * kw), dtype=np.result_type(g, x.data))
-        for half in _split_map(kernel_partials, _chunk_halves(x.data, kh, kw, oh, ow)):
-            for partial in half:
-                gw += partial
-        if transposed_dx:
-            wflip = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-            dx = _conv_forward(g, wflip, 1, kh - 1 - pad)
-        elif folded_dx:
-            dx = np.ascontiguousarray(dxp[:, :, pad : pad + H, pad : pad + W].transpose(1, 0, 2, 3))
-        else:
-            dx = None
-        grads = [dx, gw.reshape(w.shape)]
-        if bias is not None:
-            grads.append(g.sum(axis=(0, 2, 3)))
+        grads = [None, *_defer(kernel_grads, 1 if bias is None else 2)]
+        if x.requires_grad:
+            grads[0] = _conv_input_grad(g, x.data, w.data, stride, pad)
         if residual is not None:
             grads.append(g)
         return grads
@@ -793,13 +874,29 @@ def finite_diff_check(
     """Compare autodiff gradients of ``f()`` against central differences.
 
     ``f`` must be a deterministic scalar function of the given parameter
-    tensors (checked by double evaluation). When ``max_coords_per_param``
-    is set, a seeded random subset of coordinates is probed per tensor.
-    Relative error uses ``|ad - fd| / max(|ad|, |fd|, 1e-6)``.
+    tensors (checked by double evaluation) with a finite value. When
+    ``max_coords_per_param`` is set, a seeded random subset of coordinates
+    is probed per tensor; a check of zero coordinates raises
+    ``ContractError``. Relative error uses
+    ``|ad - fd| / max(|ad|, |fd|, 1e-6)``, and a coordinate whose
+    difference or analytic gradient is not finite counts as an infinite
+    error.
     """
     if eps <= 0:
         raise ContractError(f"eps must be positive, got {eps}")
+    if rng is None:
+        rng = np.random.default_rng(0)
+    coords = [
+        np.arange(p.data.size)
+        if max_coords_per_param is None or p.data.size <= max_coords_per_param
+        else rng.choice(p.data.size, size=max_coords_per_param, replace=False)
+        for _, p in params
+    ]
+    if not sum(len(c) for c in coords):
+        raise ContractError("finite_diff_check would check zero coordinates")
     v1 = f().item()
+    if not np.isfinite(v1):
+        raise ContractError(f"f returned a non-finite loss {v1!r}")
     v2 = f().item()
     if v1 != v2:
         raise ContractError(f"f is not deterministic: {v1!r} != {v2!r}")
@@ -810,20 +907,12 @@ def finite_diff_check(
     backward(loss)
     grads = {name: (np.zeros_like(p.data) if p.grad is None else p.grad.copy()) for name, p in params}
 
-    if rng is None:
-        rng = np.random.default_rng(0)
     worst = (0.0, "", -1, 0.0, 0.0)
     n_checked = 0
-    for name, p in params:
+    for (name, p), probes in zip(params, coords):
         flat = p.data.reshape(-1)
-        n = flat.size
-        coords = (
-            np.arange(n)
-            if max_coords_per_param is None or n <= max_coords_per_param
-            else rng.choice(n, size=max_coords_per_param, replace=False)
-        )
         gflat = grads[name].reshape(-1)
-        for c in coords:
+        for c in probes:
             orig = flat[c]
             flat[c] = orig + eps
             fp = f().item()
@@ -833,6 +922,8 @@ def finite_diff_check(
             fd = (fp - fm) / (2.0 * eps)
             ad = gflat[c]
             rel = abs(ad - fd) / max(abs(ad), abs(fd), 1e-6)
+            if not np.isfinite(rel):  # inf, or nan that no comparison would catch
+                rel = np.inf
             n_checked += 1
             if rel > worst[0]:
                 worst = (rel, name, int(c), (fp - v1) / eps, (v1 - fm) / eps)

@@ -1,9 +1,19 @@
-import threading
+import os
+import sys
 
-import pytest
-from hypothesis import HealthCheck, settings
+# one BLAS thread, as the CLI sets, before anything loads numpy: the helper
+# thread is the program's second busy thread, and OpenBLAS's own per-core
+# threads would make three on two cores
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+assert "numpy" not in sys.modules, "numpy was loaded before the BLAS thread count was set"
 
-from gazemoe import tensor as T
+import threading  # noqa: E402
+
+import pytest  # noqa: E402
+from hypothesis import HealthCheck, settings  # noqa: E402
+
+from gazemoe import tensor as T  # noqa: E402
 
 settings.register_profile(
     "default",
@@ -13,34 +23,65 @@ settings.register_profile(
 settings.load_profile("default")
 
 
+class HelperJobs(list):
+    """The helper's jobs in submit order, with the futures it was handed.
+
+    A ``_split_map`` job is the list of items the helper ran (empty when
+    the job was cancelled); a deferred task (``_defer``) is its function's
+    name.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.futures = []
+
+    def all_done(self) -> bool:
+        """Nothing submitted is queued or running on the helper."""
+        return all(f.done() for f in self.futures)
+
+
 @pytest.fixture
 def helper_jobs(monkeypatch):
-    """The items the helper thread ran, one list per job ``_split_map`` gave it.
+    """Every job given to the helper thread, as a ``HelperJobs`` list.
 
     The process counts as having two CPUs, so work is shared on any machine.
-    Each submit waits until the helper has taken its first item, so the
-    helper runs at least one item, always the first, of every job. A submit
-    from the helper thread itself fails at once instead of deadlocking.
+    A split job submitted while the helper has nothing else queued or
+    running waits until the helper has taken its first item, so there the
+    helper runs at least one item, always the first; behind other work it
+    does not wait, so the caller may drain every item and cancel the job. A
+    submit from the helper thread itself fails at once instead of
+    deadlocking.
     """
     monkeypatch.setattr(T, "usable_cpus", lambda: 2)
     pool = T._helper()
     helper = pool.submit(threading.current_thread).result()
-    jobs = []
+    jobs = HelperJobs()
+    lock = threading.Lock()
 
     class Spy:
-        def submit(self, drain, fn, todo, results):
+        def submit(self, fn, *args):
             assert threading.current_thread() is not helper, "the helper submitted to itself"
-            ran = []
-            jobs.append(ran)
-            took = threading.Event()
+            with lock:
+                idle = jobs.all_done()
+            if fn is not T._drain:
+                jobs.append(fn.__name__)
+                job = pool.submit(fn, *args)
+            else:
+                item_fn, todo, results = args
+                ran = []
+                jobs.append(ran)
+                took = threading.Event()
 
-            def run(item):
-                ran.append(item)
-                took.set()
-                return fn(item)
+                def run(item):
+                    ran.append(item)
+                    took.set()
+                    return item_fn(item)
 
-            job = pool.submit(drain, run, todo, results)
-            took.wait(10)
+                job = pool.submit(fn, run, todo, results)
+                if idle:
+                    took.wait(10)
+            with lock:
+                jobs.futures.append(job)
             return job
 
     monkeypatch.setattr(T, "_helper", Spy)

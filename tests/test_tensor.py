@@ -322,12 +322,13 @@ def test_conv2d_epilogue_rejects_bad_bias_and_residual_shapes():
 # -- conv2d over two threads ------------------------------------------------
 
 
-def _conv_run(x, w, g, stride, pad):
-    """(output, dx, dw) of one conv2d forward and backward."""
+def _conv_run(x, w, g, stride, pad, b=None):
+    """(output, dx, dw) of one conv2d forward and backward, then db if a bias ``b`` is given."""
     xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
-    out = T.conv2d(xt, wt, stride=stride, pad=pad)
+    bt = None if b is None else Tensor(b, requires_grad=True)
+    out = T.conv2d(xt, wt, stride=stride, pad=pad, bias=bt)
     backward((out * Tensor(g)).sum())
-    return out.data, xt.grad, wt.grad
+    return (out.data, xt.grad, wt.grad) + (() if bt is None else (bt.grad,))
 
 
 def _three_chunk_case(geometry, dtype, monkeypatch, seed=0):
@@ -347,18 +348,121 @@ def _three_chunk_case(geometry, dtype, monkeypatch, seed=0):
 def test_conv2d_split_over_the_helper_matches_serial_bitwise(geometry, dtype, monkeypatch,
                                                              helper_jobs):
     x, w, g, stride, pad = _three_chunk_case(geometry, dtype, monkeypatch)
+    b = np.random.default_rng(len(geometry)).normal(size=w.shape[0]).astype(dtype)
     with monkeypatch.context() as one_cpu:
         one_cpu.setattr(T, "usable_cpus", lambda: 1)
-        serial = _conv_run(x, w, g, stride, pad)
+        serial = _conv_run(x, w, g, stride, pad, b)
     assert helper_jobs == []
-    split = _conv_run(x, w, g, stride, pad)
-    # the forward and the kernel-gradient loop each share the halves (0, 4) and
-    # (4, 5), the helper taking (0, 4) first; the transposed-dx conv of a
-    # stride-1 geometry shares too
-    assert [job[0] for job in helper_jobs[:2]] == [(0, 4), (0, 4)]
-    for got, want in zip(split, serial):
+    split = _conv_run(x, w, g, stride, pad, b)
+    # the forward shares the halves (0, 4) and (4, 5), the helper taking (0, 4)
+    # first; the backward defers its kernel and bias gradients to the helper,
+    # then shares the input gradient's halves, which the caller may drain alone
+    # while the helper is still busy
+    assert helper_jobs[0][0] == (0, 4)
+    assert helper_jobs[1] == "kernel_grads"
+    assert len(helper_jobs) == 3 and all(isinstance(half, tuple) for half in helper_jobs[2])
+    assert helper_jobs.all_done()
+    for got, want in zip(split, serial, strict=True):
         assert got.dtype == dtype
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("weight", ["reshape", "scale"])
+def test_a_non_leaf_conv_weight_gets_the_serial_gradient_bytes(weight, monkeypatch,
+                                                               helper_jobs):
+    # the deferred kernel gradient is waited for when the walk hands it to the
+    # weight's own rule, not at the end
+    x, w, g, stride, pad = _three_chunk_case("2-1", np.float64, monkeypatch)
+
+    def run():
+        xt, wl = Tensor(x, requires_grad=True), Tensor(w.reshape(len(w), -1), requires_grad=True)
+        wt = wl.reshape(w.shape) if weight == "reshape" else T.scale(wl, 0.5).reshape(w.shape)
+        out = T.conv2d(xt, wt, stride=stride, pad=pad)
+        backward((out * Tensor(g)).sum())
+        return out.data, xt.grad, wl.grad
+
+    with monkeypatch.context() as one_cpu:
+        one_cpu.setattr(T, "usable_cpus", lambda: 1)
+        serial = run()
+    split = run()
+    assert "kernel_grads" in helper_jobs and helper_jobs.all_done()
+    for got, want in zip(split, serial, strict=True):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("weight", ["leaf", "scale"])
+def test_an_error_in_a_deferred_task_propagates_from_backward(weight, monkeypatch,
+                                                              helper_jobs):
+    x, w, g, stride, pad = _three_chunk_case("2-1", np.float64, monkeypatch)
+    xt, wl = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+    bt = Tensor(np.ones(len(w)), requires_grad=True)
+    wt = wl if weight == "leaf" else T.scale(wl, 0.5)
+    out = T.conv2d(xt, wt, stride=stride, pad=pad, bias=bt)
+    real = T._patch_chunks
+    caller = threading.current_thread()
+
+    def chunks(*args):
+        # only the kernel-gradient task runs on the helper in this backward
+        if threading.current_thread() is not caller:
+            time.sleep(0.05)  # the walk has moved on
+            raise RuntimeError("kernel gradient failed")
+        return real(*args)
+
+    monkeypatch.setattr(T, "_patch_chunks", chunks)
+    with pytest.raises(RuntimeError, match="kernel gradient failed"):
+        backward((out * Tensor(g)).sum())
+    assert "kernel_grads" in helper_jobs
+    assert helper_jobs.all_done()  # nothing queued or running on the helper
+    assert T._walk.tasks is None
+    assert xt.grad is None and wl.grad is None and bt.grad is None  # no .grad changed
+    monkeypatch.setattr(T, "_patch_chunks", real)
+    with monkeypatch.context() as one_cpu:
+        one_cpu.setattr(T, "usable_cpus", lambda: 1)
+        want = _conv_run(x, w, g, stride, pad)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(_conv_run(x, w, g, stride, pad), want))
+
+
+def test_a_rule_that_raises_mid_walk_waits_for_the_forked_tasks(monkeypatch, helper_jobs):
+    x, w, g, stride, pad = _three_chunk_case("3x3-s1-p1", np.float64, monkeypatch)
+    x0, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+    xt = T.scale(x0, 1.0)
+    out = T.conv2d(xt, wt, stride=stride, pad=pad)
+    real = T._patch_chunks
+    caller = threading.current_thread()
+    finished = []
+
+    def chunks(*args):
+        if threading.current_thread() is not caller:
+            time.sleep(0.1)  # the kernel gradient is still running when the walk fails
+        yield from real(*args)
+        finished.append(threading.current_thread())
+
+    def fail(g):
+        raise RuntimeError("rule failed")
+
+    monkeypatch.setattr(T, "_patch_chunks", chunks)
+    xt._backward = fail  # the walk reaches x's rule after the conv's
+    with pytest.raises(RuntimeError, match="rule failed"):
+        backward((out * Tensor(g)).sum())
+    assert helper_jobs[0][0] == (0, 4) and helper_jobs[1] == "kernel_grads"
+    assert helper_jobs.all_done() and finished[-1] is not caller
+    assert x0.grad is None and wt.grad is None
+
+
+def test_split_map_does_not_wait_behind_work_queued_on_the_helper(helper_jobs):
+    hold = threading.Event()
+    held = T._helper().submit(hold.wait, 10)
+    try:
+        start = time.perf_counter()
+        assert T._split_map(str, [1, 2, 3]) == ["1", "2", "3"]
+        assert time.perf_counter() - start < 5
+        assert not held.done()
+        # the split job never started: the caller drained every item and cancelled it
+        assert helper_jobs[1:] == [[]] and helper_jobs.futures[1].cancelled()
+    finally:
+        hold.set()
+    assert held.result(10) is True
+    assert T._split_mode.enabled
 
 
 def test_split_map_returns_results_in_item_order(helper_jobs):
@@ -398,13 +502,13 @@ def test_split_map_of_one_item_or_on_one_cpu_never_submits(monkeypatch, helper_j
     assert helper_jobs == []
 
 
-def test_one_chunk_conv_never_submits_to_the_helper(helper_jobs):
+def test_one_chunk_conv_shares_only_its_kernel_gradient_with_the_helper(helper_jobs):
     rng = np.random.default_rng(1)
     # stride 2 folds the input gradient, stride 1 runs it as a transposed conv
     for stride in (1, 2):
         _conv_run(rng.normal(size=(4, 3, 8, 8)), rng.normal(size=(5, 3, 3, 3)),
                   rng.normal(size=(4, 5, 8 // stride, 8 // stride)), stride, 1)
-    assert helper_jobs == []
+    assert helper_jobs == ["kernel_grads", "kernel_grads"]
 
 
 @pytest.mark.parametrize("phase", ["forward", "backward"])
@@ -412,7 +516,8 @@ def test_one_chunk_conv_never_submits_to_the_helper(helper_jobs):
 def test_an_error_in_either_half_propagates_once_both_halves_finish(failing, phase,
                                                                      monkeypatch,
                                                                      helper_jobs):
-    x, w, g, stride, pad = _three_chunk_case("2-1", np.float64, monkeypatch)
+    # a stride-1 geometry: the backward's halves are those of its transposed-dx conv
+    x, w, g, stride, pad = _three_chunk_case("3x3-s1-p1", np.float64, monkeypatch)
     xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
     out = T.conv2d(xt, wt, stride=stride, pad=pad) if phase == "backward" else None
     del helper_jobs[:]
@@ -421,6 +526,9 @@ def test_an_error_in_either_half_propagates_once_both_halves_finish(failing, pha
     finished = []
 
     def chunks(x, kh, kw, stride, pad, oh, ow, start, stop):
+        if (start, stop) == (0, len(x)):  # the kernel gradient, inline outside a walk
+            yield from real(x, kh, kw, stride, pad, oh, ow, start, stop)
+            return
         # the helper takes the half (0, 4) first, the caller then takes (4, 5)
         if (threading.current_thread() is caller) == (failing == "caller"):
             raise RuntimeError(f"chunk failed on the {failing}")
@@ -896,6 +1004,41 @@ def test_finite_diff_report_shows_one_sided_differences_at_a_kink():
     assert report.forward_diff == pytest.approx(1.0, abs=1e-9)
     assert report.backward_diff == 0.0
     assert "1.0000e+00 (forward), 0.0000e+00 (backward)" in str(report)
+
+
+def test_finite_diff_fails_on_a_non_finite_loss_naming_it():
+    # 10 * 1e308 overflows: the loss is inf, so every difference would be nan
+    p = Tensor([1e308, 2.0], requires_grad=True)
+    with np.errstate(over="ignore"), pytest.raises(ContractError, match="non-finite loss inf"):
+        finite_diff_check(lambda: (p * 10.0).sum(), [("p", p)])
+    p = Tensor([np.nan, 2.0], requires_grad=True)
+    with pytest.raises(ContractError, match="non-finite loss nan"):
+        finite_diff_check(lambda: p.sum(), [("p", p)])
+
+
+def test_finite_diff_counts_a_non_finite_coordinate_as_the_worst():
+    # f is finite at p but overflows at p[1] + eps: that coordinate's difference is inf
+    p = Tensor([1.0, 8e307], requires_grad=True)
+    weights = Tensor([1e-300, 2.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = finite_diff_check(lambda: (p * weights).sum(), [("p", p)], eps=1e307)
+    assert report.max_rel_err == np.inf and not report.passed
+    assert (report.worst_param, report.worst_coord) == ("p", 1)
+    assert str(report).startswith("FAIL: max rel err inf")
+    # a non-finite analytic gradient: sqrt's slope at 0 is inf
+    q = Tensor([0.0, 1.0], requires_grad=True)
+    root = lambda: T._make_op(np.sqrt(q.data), (q,), lambda g: (g / (2 * np.sqrt(q.data)),))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        report = finite_diff_check(lambda: root().sum(), [("q", q)], eps=1e-8)
+    assert report.max_rel_err == np.inf and report.worst_coord == 0
+
+
+def test_finite_diff_rejects_a_check_of_zero_coordinates():
+    theta = Tensor([1.0, 2.0], requires_grad=True)
+    with pytest.raises(ContractError, match="zero coordinates"):
+        finite_diff_check(lambda: theta.sum(), [("theta", theta)], max_coords_per_param=0)
+    with pytest.raises(ContractError, match="zero coordinates"):
+        finite_diff_check(lambda: theta.sum(), [])
 
 
 def _fd_case(name):

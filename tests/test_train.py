@@ -163,7 +163,10 @@ class TestReproducibility:
             serial = train(cfg, dataset, os.path.join(tmp_path, "serial"))
         assert helper_jobs == []
         split = train(cfg, dataset, os.path.join(tmp_path, "split"))
-        assert any(isinstance(job[0], tuple) for job in helper_jobs)  # conv halves
+        # conv halves, and each conv's kernel gradient deferred to the helper
+        assert any(isinstance(job, list) and job and isinstance(job[0], tuple)
+                   for job in helper_jobs)
+        assert "kernel_grads" in helper_jobs and helper_jobs.all_done()
         assert Path(split.metrics_path).read_bytes() == Path(serial.metrics_path).read_bytes()
         for sub in ("best_dir", "final_dir"):
             a, b = Path(getattr(split, sub)), Path(getattr(serial, sub))
@@ -347,6 +350,29 @@ class TestSplitPass:
         res = train(make_config(epochs=2), dataset, str(tmp_path))
         evaluate(res.final_dir, dataset)
         assert len(seen) > 2 * 2
+        assert {thread for thread, _ in seen} <= {threading.current_thread(), helper}
+        assert max(count for _, count in seen) <= before + 1
+
+    def test_every_kernel_gradient_task_runs_on_this_thread_or_the_helper(
+            self, dataset, tmp_path, monkeypatch):
+        # the deferred kernel gradients use the one helper too, and no other thread starts
+        before = threading.active_count()
+        monkeypatch.setattr(T, "usable_cpus", lambda: 2)
+        helper = T._helper().submit(threading.current_thread).result()
+        seen = []  # (thread, live thread count) at each kernel-gradient task
+        real = T._defer
+
+        def defer(fn, n):
+            def task():
+                seen.append((threading.current_thread(), threading.active_count()))
+                return fn()
+
+            return real(task, n)
+
+        monkeypatch.setattr(T, "_defer", defer)
+        train(make_config(epochs=2), dataset, str(tmp_path))
+        assert len(seen) > 2 * 2
+        assert helper in {thread for thread, _ in seen}
         assert {thread for thread, _ in seen} <= {threading.current_thread(), helper}
         assert max(count for _, count in seen) <= before + 1
 
