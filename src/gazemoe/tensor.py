@@ -20,12 +20,12 @@ and reallocates the same multi-MB activations every step; with glibc's
 defaults each of them came back as new pages, which cost a page fault
 per 4 KiB: about 82k minor faults per quickstart training call and 50k
 per 1000-sample evaluation on a 2-vCPU Xeon, against none with this
-policy. Every thread also shares the one arena: the helper thread runs
-half of each evaluation pass, and memory a thread frees into an arena of
-its own stays there, out of training's reach (quickstart training call
-peak RSS 133 -> 166 MB with per-thread arenas, 114 MB with one, measured
-with evaluation on two pool threads). Where ``mallopt`` is missing (not
-glibc) this is skipped.
+policy. Every thread also shares the one arena: the helper thread takes
+part in every training step and evaluation pass, and memory a thread
+frees into an arena of its own stays there, out of the other's reach
+(quickstart training call peak RSS 132-135 MB with per-thread arenas
+against 113-114 MB with one, on the same Xeon). Where ``mallopt`` is
+missing (not glibc) this is skipped.
 
 Top-k style index selection is deliberately *not* differentiable: the
 indexing ops move values around and route gradients back to where they
@@ -42,15 +42,16 @@ input gradient as a conv of the output gradient with the flipped kernel;
 every other conv folds each chunk's ``w.T @ g`` back into the input.
 
 The program's one second thread is a helper, started at first use and
-kept for the life of the process; ``_split_map`` shares a list of items
-with it and states the one rule that keeps at most two threads busy. A
-conv of two or more chunks shares its two halves, so a training step's
-convs use two cores (BLAS releases the GIL); the evaluation pass shares
-its batches, and their convs run inline. During ``backward`` each conv
-also hands its kernel and bias gradients to the helper as one deferred
-task (``_defer``): only Adam reads them, after the walk, so the walk
-carries input gradients on meanwhile and waits for the task once, at
-the end, or earlier only where a later rule needs its value.
+kept for the life of the process. It has three jobs. ``_split_map``
+shares a list of items with it and states the one rule that keeps at
+most two threads busy: a conv of two or more chunks shares the two
+halves of its forward GEMMs, so a training step's forward convs use two
+cores (BLAS releases the GIL), and the evaluation pass shares its
+batches, whose convs run inline. A ``backward`` walk gives the helper
+only each conv's kernel gradient, as one deferred task (``_defer``):
+only Adam reads it, after the walk, so this thread carries the input
+gradients on meanwhile and waits for the tasks once, at the end, or
+earlier only where a later rule needs a value.
 
 ``conv2d`` also takes an optional epilogue: after the GEMMs it adds the
 bias, then the residual, then applies relu, in place on the whole output.
@@ -97,23 +98,25 @@ def _keep_freed_pages() -> None:
 _keep_freed_pages()
 
 
-class _GradMode(threading.local):
-    enabled = True  # each thread starts recording
+class _ThreadState(threading.local):
+    grad = True  # this thread records graphs
+    shares = True  # this thread may share work with the helper
+    tasks: list | None = None  # the helper tasks forked by this thread's running backward
 
 
-_grad_mode = _GradMode()
+_state = _ThreadState()
 
 
 class no_grad:
     """Context manager that disables graph recording on the calling thread."""
 
     def __enter__(self):
-        self._prev = _grad_mode.enabled
-        _grad_mode.enabled = False
+        self._prev = _state.grad
+        _state.grad = False
         return self
 
     def __exit__(self, *exc):
-        _grad_mode.enabled = self._prev
+        _state.grad = self._prev
         return False
 
 
@@ -128,15 +131,8 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-class _SplitMode(threading.local):
-    enabled = True  # this thread may share work with the helper
-
-
-_split_mode = _SplitMode()
-
-
 def _hold_serial() -> None:
-    _split_mode.enabled = False
+    _state.shares = False
 
 
 _helper_pool: futures.ThreadPoolExecutor | None = None
@@ -270,7 +266,7 @@ def _lift(x, dtype) -> Tensor:
 def _make_op(out_data: np.ndarray, parents: Iterable[Tensor], backward) -> Tensor:
     parents = tuple(parents)
     out = Tensor(out_data)
-    if _grad_mode.enabled and any(p.requires_grad for p in parents):
+    if _state.grad and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward
@@ -290,13 +286,13 @@ def backward(loss: Tensor) -> None:
     accumulate into ``.grad`` until ``zero_grad``.
 
     A rule may return a gradient its task is still computing on the
-    helper thread (``_defer``; the conv's kernel and bias gradients). The
-    walk passes it on like any adjoint and waits for it only where it is
-    added to another adjoint or handed to a non-leaf's rule. Leaf
-    adjoints are added into ``.grad`` after the walk, in walk order, so
-    the sums are those of a walk that never deferred. This returns or
-    raises only once every task it forked has finished; if a rule or a
-    task raises, no ``.grad`` changes.
+    helper thread (``_defer``; a conv's kernel gradient). The walk passes
+    it on like any adjoint and waits for it only where it is added to
+    another adjoint or handed to a non-leaf's rule. Leaf adjoints are
+    added into ``.grad`` after the walk, in walk order, so the sums are
+    those of a walk that never deferred. This returns or raises only once
+    every task it forked has finished; if a rule or a task raises, no
+    ``.grad`` changes.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -323,10 +319,10 @@ def backward(loss: Tensor) -> None:
                 stack.append((parent, False))
 
     seed = np.ones_like(loss.data)
-    adjoint: dict[int, np.ndarray | _Deferred] = {id(loss): seed}
+    adjoint: dict[int, np.ndarray | futures.Future] = {id(loss): seed}
     # (tensor, adjoint) in walk order; no .grad changes until the walk is done
     flushes = [(loss, seed)]
-    tasks = _walk.tasks = []
+    tasks = _state.tasks = []
     try:
         for i in range(len(nodes) - 1, -1, -1):
             node = nodes[i]
@@ -352,7 +348,7 @@ def backward(loss: Tensor) -> None:
                 if parent.requires_grad and parent.is_leaf and id(parent) in adjoint:
                     flushes.append((parent, adjoint.pop(id(parent))))
     finally:
-        _walk.tasks = None
+        _state.tasks = None
         futures.wait(tasks)
     for task in tasks:
         task.result()  # a task's error, before any .grad changes
@@ -576,68 +572,48 @@ def _split_map(fn: Callable, items: Sequence) -> list:
     This thread and the helper each take the next untaken item until none
     is left; results come back in item order. It shares only with at least
     two items, in a process that may use two CPUs, on a thread not already
-    inside a share: this thread clears its flag while it drains and the
-    helper's is always clear, so a nested call runs inline and nothing on
-    the helper ever waits for the helper. A helper job that has not started
-    by the time this thread has drained every item is cancelled, so a share
-    never waits behind work queued on the helper (``_defer``'s tasks).
-    Both threads are done with the items before this returns or raises; an
-    error from either propagates.
+    inside a share and not running a ``backward`` walk: this thread clears
+    its flag while it drains and the helper's is always clear, so a nested
+    call runs inline and nothing on the helper ever waits for the helper;
+    a walk keeps the helper for its kernel-gradient tasks (``_defer``) and
+    joins them before it returns, so this thread's shares never queue
+    behind them. Both threads are done with the items before this returns
+    or raises; an error from either propagates.
     """
-    if len(items) < 2 or not _split_mode.enabled or usable_cpus() < 2:
+    if len(items) < 2 or not _state.shares or _state.tasks is not None or usable_cpus() < 2:
         return [fn(item) for item in items]
     results = [None] * len(items)
     todo = enumerate(items)
     helper = _helper().submit(_drain, fn, todo, results)
-    _split_mode.enabled = False
+    _state.shares = False
     try:
         _drain(fn, todo, results)
     finally:
-        _split_mode.enabled = True
-        started = not helper.cancel()
-        if started:
-            futures.wait((helper,))
-    if started:
-        helper.result()
+        _state.shares = True
+        futures.wait((helper,))
+    helper.result()
     return results
 
 
-class _Walk(threading.local):
-    tasks: list | None = None  # the helper tasks forked by this thread's running backward
-
-
-_walk = _Walk()
-
-
-class _Deferred:
-    """Gradient ``i`` of a helper task's result, not yet waited for."""
-
-    __slots__ = ("task", "i")
-
-    def __init__(self, task: futures.Future, i: int):
-        self.task, self.i = task, i
-
-
 def _ready(g):
-    """``g`` itself, or the value it defers once its task has finished."""
-    return g.task.result()[g.i] if isinstance(g, _Deferred) else g
+    """``g`` itself, or its task's result once the task has finished."""
+    return g.result() if isinstance(g, futures.Future) else g
 
 
-def _defer(fn: Callable[[], tuple], n: int) -> tuple:
-    """``fn()``, a tuple of ``n`` gradients, computed off the backward walk.
+def _defer(fn: Callable[[], np.ndarray]):
+    """``fn()``, a gradient, computed off the backward walk.
 
     Inside a ``backward`` walk, on a thread that may share (see
     ``_split_map``), in a process that may use two CPUs, ``fn`` is queued
-    on the helper and each gradient comes back as a ``_Deferred`` that the
-    walk waits for when it needs the value; anywhere else ``fn`` runs here,
-    at once.
+    on the helper and its ``Future`` comes back for the walk to wait on
+    when it needs the value; anywhere else ``fn`` runs here, at once.
     """
-    tasks = _walk.tasks
-    if tasks is None or not _split_mode.enabled or usable_cpus() < 2:
+    tasks = _state.tasks
+    if tasks is None or not _state.shares or usable_cpus() < 2:
         return fn()
     task = _helper().submit(fn)
     tasks.append(task)
-    return tuple(_Deferred(task, i) for i in range(n))
+    return task
 
 
 def _chunk_halves(x: np.ndarray, kh: int, kw: int, oh: int, ow: int) -> list[tuple[int, int]]:
@@ -686,9 +662,7 @@ def _conv_input_grad(g: np.ndarray, x: np.ndarray, w: np.ndarray, stride: int,
     A stride-1 conv with a square kernel wider than its padding gets it as a
     conv of ``g`` with the flipped, transposed kernel; any other folds each
     patch chunk's ``w.T @ g`` back into a zero-bordered input, one slice-add
-    per kernel offset. Either way the work is split in two halves at a
-    chunk boundary, shared with the helper (``_split_map``); the halves
-    write disjoint samples.
+    per kernel offset. Inside a ``backward`` walk both run on this thread.
     """
     B, C, H, W = x.shape
     O, _, kh, kw = w.shape
@@ -698,18 +672,14 @@ def _conv_input_grad(g: np.ndarray, x: np.ndarray, w: np.ndarray, stride: int,
     wmat = w.reshape(O, -1)
     dxp = np.zeros((C, B, H + 2 * pad, W + 2 * pad), dtype=g.dtype)
     nb = _chunk_samples(x, kh, kw, oh, ow)  # the patch matrix's chunks
-
-    def fold(span):
-        for b0 in range(*span, nb):
-            n = min(nb, span[1] - b0)
-            gm = g[b0 : b0 + n].transpose(1, 0, 2, 3).reshape(O, -1)  # [O, n*L]
-            dcols = (wmat.T @ gm).reshape(C, kh, kw, n, oh, ow)
-            for i in range(kh):
-                for j in range(kw):
-                    dxp[:, b0 : b0 + n, i : i + stride * oh : stride,
-                        j : j + stride * ow : stride] += dcols[:, i, j]
-
-    _split_map(fold, _chunk_halves(x, kh, kw, oh, ow))
+    for b0 in range(0, B, nb):
+        n = min(nb, B - b0)
+        gm = g[b0 : b0 + n].transpose(1, 0, 2, 3).reshape(O, -1)  # [O, n*L]
+        dcols = (wmat.T @ gm).reshape(C, kh, kw, n, oh, ow)
+        for i in range(kh):
+            for j in range(kw):
+                dxp[:, b0 : b0 + n, i : i + stride * oh : stride,
+                    j : j + stride * ow : stride] += dcols[:, i, j]
     return np.ascontiguousarray(dxp[:, :, pad : pad + H, pad : pad + W].transpose(1, 0, 2, 3))
 
 
@@ -741,15 +711,15 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0, bias: Tensor | N
     otherwise each chunk's ``w.T @ g`` is folded back with one slice-add
     per kernel offset.
 
-    The forward GEMMs and either input-gradient path share their chunks
-    with the helper thread as two halves split at a chunk boundary
-    (``_split_map``). Inside ``backward`` the kernel and bias gradients are
-    one deferred task (``_defer``) that the helper runs while this thread
-    computes the input gradient and the walk goes on; ``backward`` waits
-    for it (see there). The bits match one thread's: each chunk and its
-    BLAS calls are the same, the halves write disjoint samples, the
-    kernel-gradient loop runs the chunks in order on one thread, and the
-    epilogue and relu mask run here, once, on the whole array.
+    The forward GEMMs share their chunks with the helper thread as two
+    halves split at a chunk boundary (``_split_map``). Inside ``backward``
+    the kernel gradient is one deferred task (``_defer``) that the helper
+    runs while this thread computes the bias and input gradients and the
+    walk goes on; ``backward`` waits for it (see there). The bits match one
+    thread's: each chunk and its BLAS calls are the same, the halves write
+    disjoint samples, the kernel-gradient loop runs the chunks in order on
+    one thread, and the epilogue and relu mask run here, once, on the
+    whole array.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise DimensionError(f"conv2d expects 4-d input and kernel, got {x.shape} and {w.shape}")
@@ -780,15 +750,16 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0, bias: Tensor | N
             g = g * (out > 0)
 
         def kernel_grads():
-            """The kernel gradient, ``g @ cols.T`` added chunk by chunk, and the bias's."""
+            """The kernel gradient, ``g @ cols.T`` added chunk by chunk."""
             gw = np.zeros((O, C * kh * kw), dtype=np.result_type(g, x.data))
             for b0, cols in _patch_chunks(x.data, kh, kw, stride, pad, oh, ow, 0, B):
                 gm = g[b0 : b0 + cols.shape[1]].transpose(1, 0, 2, 3).reshape(O, -1)  # [O, n*L]
                 gw += gm @ cols.reshape(C * kh * kw, -1).T
-            gw = gw.reshape(w.shape)
-            return (gw,) if bias is None else (gw, g.sum(axis=(0, 2, 3)))
+            return gw.reshape(w.shape)
 
-        grads = [None, *_defer(kernel_grads, 1 if bias is None else 2)]
+        grads = [None, _defer(kernel_grads)]
+        if bias is not None:
+            grads.append(g.sum(axis=(0, 2, 3)))
         if x.requires_grad:
             grads[0] = _conv_input_grad(g, x.data, w.data, stride, pad)
         if residual is not None:

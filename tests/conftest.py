@@ -26,9 +26,8 @@ settings.load_profile("default")
 class HelperJobs(list):
     """The helper's jobs in submit order, with the futures it was handed.
 
-    A ``_split_map`` job is the list of items the helper ran (empty when
-    the job was cancelled); a deferred task (``_defer``) is its function's
-    name.
+    A ``_split_map`` job is the list of items the helper ran; a deferred
+    task (``_defer``) is its function's name.
     """
 
     def __init__(self):
@@ -45,24 +44,18 @@ def helper_jobs(monkeypatch):
     """Every job given to the helper thread, as a ``HelperJobs`` list.
 
     The process counts as having two CPUs, so work is shared on any machine.
-    A split job submitted while the helper has nothing else queued or
-    running waits until the helper has taken its first item, so there the
-    helper runs at least one item, always the first; behind other work it
-    does not wait, so the caller may drain every item and cancel the job. A
-    submit from the helper thread itself fails at once instead of
-    deadlocking.
+    A split job waits until the helper has taken its first item, so the
+    helper runs at least one item, always the first. A submit from the
+    helper thread itself fails at once instead of deadlocking.
     """
     monkeypatch.setattr(T, "usable_cpus", lambda: 2)
     pool = T._helper()
     helper = pool.submit(threading.current_thread).result()
     jobs = HelperJobs()
-    lock = threading.Lock()
 
     class Spy:
         def submit(self, fn, *args):
             assert threading.current_thread() is not helper, "the helper submitted to itself"
-            with lock:
-                idle = jobs.all_done()
             if fn is not T._drain:
                 jobs.append(fn.__name__)
                 job = pool.submit(fn, *args)
@@ -78,10 +71,8 @@ def helper_jobs(monkeypatch):
                     return item_fn(item)
 
                 job = pool.submit(fn, run, todo, results)
-                if idle:
-                    took.wait(10)
-            with lock:
-                jobs.futures.append(job)
+                took.wait(10)
+            jobs.futures.append(job)
             return job
 
     monkeypatch.setattr(T, "_helper", Spy)

@@ -355,15 +355,36 @@ def test_conv2d_split_over_the_helper_matches_serial_bitwise(geometry, dtype, mo
     assert helper_jobs == []
     split = _conv_run(x, w, g, stride, pad, b)
     # the forward shares the halves (0, 4) and (4, 5), the helper taking (0, 4)
-    # first; the backward defers its kernel and bias gradients to the helper,
-    # then shares the input gradient's halves, which the caller may drain alone
-    # while the helper is still busy
-    assert helper_jobs[0][0] == (0, 4)
+    # first; the backward defers only its kernel gradient to the helper
+    assert len(helper_jobs) == 2 and helper_jobs[0][0] == (0, 4)
     assert helper_jobs[1] == "kernel_grads"
-    assert len(helper_jobs) == 3 and all(isinstance(half, tuple) for half in helper_jobs[2])
     assert helper_jobs.all_done()
     for got, want in zip(split, serial, strict=True):
         assert got.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+
+
+# 3x3-s1-p1 takes the transposed-dx conv, 2-1 the strided fold
+@pytest.mark.parametrize("geometry", ["3x3-s1-p1", "2-1"])
+def test_a_backward_walk_hands_the_helper_only_kernel_gradients(geometry, monkeypatch,
+                                                                helper_jobs):
+    x, w, g, stride, pad = _three_chunk_case(geometry, np.float64, monkeypatch)
+    b = np.random.default_rng(1).normal(size=w.shape[0])
+
+    def run():
+        xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+        out = T.conv2d(xt, wt, stride=stride, pad=pad, bias=bt)
+        del helper_jobs[:]
+        backward((out * Tensor(g)).sum())
+        return out.data, xt.grad, wt.grad, bt.grad
+
+    with monkeypatch.context() as one_cpu:
+        one_cpu.setattr(T, "usable_cpus", lambda: 1)
+        serial = run()
+    split = run()
+    # the input gradient runs on this thread: no split job, only the deferred task
+    assert helper_jobs == ["kernel_grads"] and helper_jobs.all_done()
+    for got, want in zip(split, serial, strict=True):
         assert got.tobytes() == want.tobytes()
 
 
@@ -413,7 +434,7 @@ def test_an_error_in_a_deferred_task_propagates_from_backward(weight, monkeypatc
         backward((out * Tensor(g)).sum())
     assert "kernel_grads" in helper_jobs
     assert helper_jobs.all_done()  # nothing queued or running on the helper
-    assert T._walk.tasks is None
+    assert T._state.tasks is None
     assert xt.grad is None and wl.grad is None and bt.grad is None  # no .grad changed
     monkeypatch.setattr(T, "_patch_chunks", real)
     with monkeypatch.context() as one_cpu:
@@ -449,22 +470,6 @@ def test_a_rule_that_raises_mid_walk_waits_for_the_forked_tasks(monkeypatch, hel
     assert x0.grad is None and wt.grad is None
 
 
-def test_split_map_does_not_wait_behind_work_queued_on_the_helper(helper_jobs):
-    hold = threading.Event()
-    held = T._helper().submit(hold.wait, 10)
-    try:
-        start = time.perf_counter()
-        assert T._split_map(str, [1, 2, 3]) == ["1", "2", "3"]
-        assert time.perf_counter() - start < 5
-        assert not held.done()
-        # the split job never started: the caller drained every item and cancelled it
-        assert helper_jobs[1:] == [[]] and helper_jobs.futures[1].cancelled()
-    finally:
-        hold.set()
-    assert held.result(10) is True
-    assert T._split_mode.enabled
-
-
 def test_split_map_returns_results_in_item_order(helper_jobs):
     def slow_square(i):
         time.sleep(0.002 * (i % 3))  # items finish out of order
@@ -472,7 +477,7 @@ def test_split_map_returns_results_in_item_order(helper_jobs):
 
     assert T._split_map(slow_square, range(12)) == [i * i for i in range(12)]
     assert len(helper_jobs) == 1 and helper_jobs[0][0] == 0
-    assert T._split_mode.enabled
+    assert T._state.shares
 
 
 def test_a_nested_split_map_runs_inline(helper_jobs):
@@ -491,7 +496,7 @@ def test_a_nested_split_map_runs_inline(helper_jobs):
     assert T._split_map(outer, [1, 2, 3]) == [[10, 11, 12], [20, 21, 22], [30, 31, 32]]
     # one job, the outer one; the helper ran item 1 and its inner items itself
     assert len(helper_jobs) == 1 and helper_jobs[0][0] == 1
-    assert T._split_mode.enabled
+    assert T._state.shares
 
 
 def test_split_map_of_one_item_or_on_one_cpu_never_submits(monkeypatch, helper_jobs):
@@ -511,24 +516,16 @@ def test_one_chunk_conv_shares_only_its_kernel_gradient_with_the_helper(helper_j
     assert helper_jobs == ["kernel_grads", "kernel_grads"]
 
 
-@pytest.mark.parametrize("phase", ["forward", "backward"])
 @pytest.mark.parametrize("failing", ["caller", "helper"])
-def test_an_error_in_either_half_propagates_once_both_halves_finish(failing, phase,
-                                                                     monkeypatch,
+def test_an_error_in_either_half_propagates_once_both_halves_finish(failing, monkeypatch,
                                                                      helper_jobs):
-    # a stride-1 geometry: the backward's halves are those of its transposed-dx conv
     x, w, g, stride, pad = _three_chunk_case("3x3-s1-p1", np.float64, monkeypatch)
     xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
-    out = T.conv2d(xt, wt, stride=stride, pad=pad) if phase == "backward" else None
-    del helper_jobs[:]
     real = T._patch_chunks
     caller = threading.current_thread()
     finished = []
 
     def chunks(x, kh, kw, stride, pad, oh, ow, start, stop):
-        if (start, stop) == (0, len(x)):  # the kernel gradient, inline outside a walk
-            yield from real(x, kh, kw, stride, pad, oh, ow, start, stop)
-            return
         # the helper takes the half (0, 4) first, the caller then takes (4, 5)
         if (threading.current_thread() is caller) == (failing == "caller"):
             raise RuntimeError(f"chunk failed on the {failing}")
@@ -539,15 +536,12 @@ def test_an_error_in_either_half_propagates_once_both_halves_finish(failing, pha
 
     monkeypatch.setattr(T, "_patch_chunks", chunks)
     with pytest.raises(RuntimeError, match=f"failed on the {failing}"):
-        if phase == "forward":
-            T.conv2d(xt, wt, stride=stride, pad=pad)
-        else:
-            out._backward(g)
+        T.conv2d(xt, wt, stride=stride, pad=pad)
     assert helper_jobs == [[(0, 4)]]
     assert finished == ([0] if failing == "caller" else [4])
     monkeypatch.setattr(T, "_patch_chunks", real)
     # the caller's next conv shares again, with the serial bits
-    assert T._split_mode.enabled
+    assert T._state.shares
     with monkeypatch.context() as one_cpu:
         one_cpu.setattr(T, "usable_cpus", lambda: 1)
         want = _conv_run(x, w, g, stride, pad)

@@ -162,11 +162,22 @@ class TestReproducibility:
             one_cpu.setattr(T, "usable_cpus", lambda: 1)
             serial = train(cfg, dataset, os.path.join(tmp_path, "serial"))
         assert helper_jobs == []
+        walk_jobs = []  # the jobs submitted while a backward walk runs
+        real_backward = T.backward
+
+        def backward(loss):
+            start = len(helper_jobs)
+            real_backward(loss)
+            walk_jobs.extend(helper_jobs[start:])
+
+        monkeypatch.setattr(T, "backward", backward)
         split = train(cfg, dataset, os.path.join(tmp_path, "split"))
-        # conv halves, and each conv's kernel gradient deferred to the helper
+        # forward conv halves, and each conv's kernel gradient deferred to the
+        # helper; a walk submits no split job
         assert any(isinstance(job, list) and job and isinstance(job[0], tuple)
                    for job in helper_jobs)
-        assert "kernel_grads" in helper_jobs and helper_jobs.all_done()
+        assert walk_jobs and all(job == "kernel_grads" for job in walk_jobs)
+        assert helper_jobs.all_done()
         assert Path(split.metrics_path).read_bytes() == Path(serial.metrics_path).read_bytes()
         for sub in ("best_dir", "final_dir"):
             a, b = Path(getattr(split, sub)), Path(getattr(serial, sub))
@@ -362,12 +373,12 @@ class TestSplitPass:
         seen = []  # (thread, live thread count) at each kernel-gradient task
         real = T._defer
 
-        def defer(fn, n):
+        def defer(fn):
             def task():
                 seen.append((threading.current_thread(), threading.active_count()))
                 return fn()
 
-            return real(task, n)
+            return real(task)
 
         monkeypatch.setattr(T, "_defer", defer)
         train(make_config(epochs=2), dataset, str(tmp_path))
