@@ -41,17 +41,18 @@ A stride-1 conv with a square kernel wider than its padding gets its
 input gradient as a conv of the output gradient with the flipped kernel;
 every other conv folds each chunk's ``w.T @ g`` back into the input.
 
-The program's one second thread is a helper, started at first use and
-kept for the life of the process. It has three jobs. ``_split_map``
-shares a list of items with it and states the one rule that keeps at
-most two threads busy: a conv of two or more chunks shares the two
-halves of its forward GEMMs, so a training step's forward convs use two
-cores (BLAS releases the GIL), and the evaluation pass shares its
-batches, whose convs run inline. A ``backward`` walk gives the helper
-only each conv's kernel gradient, as one deferred task (``_defer``):
-only Adam reads it, after the walk, so this thread carries the input
-gradients on meanwhile and waits for the tasks once, at the end, or
-earlier only where a later rule needs a value.
+The program's one second thread is a helper: its pool is built at
+import, starts the thread at the first submit and keeps it for the life
+of the process. It has three jobs. ``_split_map`` shares a list of items
+with it and states the one rule that keeps at most two threads busy: a
+conv of two or more chunks shares the two halves of its forward GEMMs,
+so a training step's forward convs use two cores (BLAS releases the
+GIL), and the evaluation pass shares its batches, whose convs run
+inline. A ``backward`` walk gives the helper only the kernel gradient
+of each conv whose weight is a leaf, as one deferred task (``_defer``):
+a leaf's gradient goes only into its ``.grad``, after the walk, so this
+thread carries the input gradients on meanwhile and waits for the tasks
+once, at the end.
 
 ``conv2d`` also takes an optional epilogue: after the GEMMs it adds the
 bias, then the residual, then applies relu, in place on the whole output.
@@ -135,28 +136,20 @@ def _hold_serial() -> None:
     _state.shares = False
 
 
-_helper_pool: futures.ThreadPoolExecutor | None = None
-_helper_lock = threading.Lock()
+def _new_helper() -> None:
+    """Bind ``_helper``, the one helper thread's pool; its thread never shares.
+
+    The pool starts its thread at the first submit. A forked child gets a
+    fresh pool: it has no helper thread, only the parent's pool object.
+    """
+    global _helper
+    _helper = futures.ThreadPoolExecutor(1, "split-helper", initializer=_hold_serial)
 
 
-def _helper() -> futures.ThreadPoolExecutor:
-    """The one helper thread's pool, made at first use; its thread never shares."""
-    global _helper_pool
-    with _helper_lock:
-        if _helper_pool is None:
-            _helper_pool = futures.ThreadPoolExecutor(1, "split-helper", initializer=_hold_serial)
-        return _helper_pool
-
-
-def _forget_helper() -> None:
-    # a forked child has no helper thread, only the parent's pool object
-    global _helper_pool, _helper_lock
-    _helper_pool = None
-    _helper_lock = threading.Lock()
-
-
+_helper: futures.ThreadPoolExecutor
+_new_helper()
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_helper)
+    os.register_at_fork(after_in_child=_new_helper)
 
 
 class Tensor:
@@ -285,14 +278,15 @@ def backward(loss: Tensor) -> None:
     ordered, so no ``.grad`` changes. Calls over separate graphs
     accumulate into ``.grad`` until ``zero_grad``.
 
-    A rule may return a gradient its task is still computing on the
-    helper thread (``_defer``; a conv's kernel gradient). The walk passes
-    it on like any adjoint and waits for it only where it is added to
-    another adjoint or handed to a non-leaf's rule. Leaf adjoints are
-    added into ``.grad`` after the walk, in walk order, so the sums are
-    those of a walk that never deferred. This returns or raises only once
-    every task it forked has finished; if a rule or a task raises, no
-    ``.grad`` changes.
+    Only op nodes' adjoints are summed during the walk. Each gradient a
+    rule returns for a leaf is queued as it comes and added into the
+    leaf's ``.grad`` after the walk, in walk order: one addition per
+    input of each node, so a leaf that is two inputs of one node gets
+    two. A leaf's gradient may be a task the helper thread is still
+    computing (``_defer``; a conv's kernel gradient); the walk waits for
+    the tasks once, before the first addition, so the sums are those of
+    a walk that never deferred. This returns or raises only once every task it forked has
+    finished; if a rule or a task raises, no ``.grad`` changes.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -319,8 +313,8 @@ def backward(loss: Tensor) -> None:
                 stack.append((parent, False))
 
     seed = np.ones_like(loss.data)
-    adjoint: dict[int, np.ndarray | futures.Future] = {id(loss): seed}
-    # (tensor, adjoint) in walk order; no .grad changes until the walk is done
+    adjoint = {id(loss): seed}  # op nodes' adjoints; leaves' gradients go to flushes
+    # (tensor, gradient) in walk order; no .grad changes until the walk is done
     flushes = [(loss, seed)]
     tasks = _state.tasks = []
     try:
@@ -335,25 +329,23 @@ def backward(loss: Tensor) -> None:
             g = adjoint.pop(id(node), None)
             if g is None:
                 continue
-            for parent, pg in zip(parents, back(_ready(g))):
+            for parent, pg in zip(parents, back(g)):
                 if pg is None or not parent.requires_grad:
                     continue
                 key = id(parent)
-                if key in adjoint:
-                    adjoint[key] = _ready(adjoint[key]) + _ready(pg)
+                if parent.is_leaf:
+                    flushes.append((parent, pg))
+                elif key in adjoint:
+                    adjoint[key] = adjoint[key] + pg
                 else:
                     adjoint[key] = pg
-            # leaves are never op nodes, so queue their adjoints for .grad here
-            for parent in parents:
-                if parent.requires_grad and parent.is_leaf and id(parent) in adjoint:
-                    flushes.append((parent, adjoint.pop(id(parent))))
     finally:
         _state.tasks = None
         futures.wait(tasks)
     for task in tasks:
         task.result()  # a task's error, before any .grad changes
     for tensor, g in flushes:
-        tensor.accumulate_grad(_ready(g))
+        tensor.accumulate_grad(g.result() if isinstance(g, futures.Future) else g)
 
 
 def _consumed(*_):
@@ -495,6 +487,8 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
+    if not -a.ndim <= axis < a.ndim:
+        raise DimensionError(f"log_softmax axis {axis} invalid for shape {a.shape}")
     shifted = a.data - np.expand_dims(a.data.max(axis=axis), axis)
     lse = np.log(np.expand_dims(np.exp(shifted).sum(axis=axis), axis))
     out = shifted - lse
@@ -584,7 +578,7 @@ def _split_map(fn: Callable, items: Sequence) -> list:
         return [fn(item) for item in items]
     results = [None] * len(items)
     todo = enumerate(items)
-    helper = _helper().submit(_drain, fn, todo, results)
+    helper = _helper.submit(_drain, fn, todo, results)
     _state.shares = False
     try:
         _drain(fn, todo, results)
@@ -595,23 +589,20 @@ def _split_map(fn: Callable, items: Sequence) -> list:
     return results
 
 
-def _ready(g):
-    """``g`` itself, or its task's result once the task has finished."""
-    return g.result() if isinstance(g, futures.Future) else g
-
-
 def _defer(fn: Callable[[], np.ndarray]):
-    """``fn()``, a gradient, computed off the backward walk.
+    """``fn()``, a leaf's gradient, computed off the backward walk.
 
     Inside a ``backward`` walk, on a thread that may share (see
     ``_split_map``), in a process that may use two CPUs, ``fn`` is queued
-    on the helper and its ``Future`` comes back for the walk to wait on
-    when it needs the value; anywhere else ``fn`` runs here, at once.
+    on the helper and its ``Future`` comes back, which the walk waits for
+    once, after its last rule; anywhere else ``fn`` runs here, at once.
+    Only a leaf's gradient may be deferred, so no rule is handed a
+    ``Future``.
     """
     tasks = _state.tasks
     if tasks is None or not _state.shares or usable_cpus() < 2:
         return fn()
-    task = _helper().submit(fn)
+    task = _helper.submit(fn)
     tasks.append(task)
     return task
 
@@ -713,13 +704,14 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0, bias: Tensor | N
 
     The forward GEMMs share their chunks with the helper thread as two
     halves split at a chunk boundary (``_split_map``). Inside ``backward``
-    the kernel gradient is one deferred task (``_defer``) that the helper
-    runs while this thread computes the bias and input gradients and the
-    walk goes on; ``backward`` waits for it (see there). The bits match one
-    thread's: each chunk and its BLAS calls are the same, the halves write
-    disjoint samples, the kernel-gradient loop runs the chunks in order on
-    one thread, and the epilogue and relu mask run here, once, on the
-    whole array.
+    a leaf ``w``'s kernel gradient is one deferred task (``_defer``) that
+    the helper runs while this thread computes the bias and input
+    gradients and the walk goes on; ``backward`` waits for it after the
+    walk. A non-leaf ``w``'s runs here, as ``w``'s own rule needs it. The
+    bits match one thread's: each chunk and its BLAS calls are the same,
+    the halves write disjoint samples, the kernel-gradient loop runs the
+    chunks in order on one thread, and the epilogue and relu mask run
+    here, once, on the whole array.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise DimensionError(f"conv2d expects 4-d input and kernel, got {x.shape} and {w.shape}")
@@ -729,6 +721,8 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0, bias: Tensor | N
         raise DimensionError(f"conv2d channel mismatch: input {x.shape} vs kernel {w.shape}")
     if stride < 1:
         raise DimensionError(f"conv2d stride must be >= 1, got {stride}")
+    if pad < 0:
+        raise DimensionError(f"conv2d pad must be >= 0, got {pad}")
     if kh > H + 2 * pad or kw > W + 2 * pad:
         raise DimensionError(
             f"kernel {kh}x{kw} larger than padded input {H + 2 * pad}x{W + 2 * pad}"
@@ -757,7 +751,7 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0, bias: Tensor | N
                 gw += gm @ cols.reshape(C * kh * kw, -1).T
             return gw.reshape(w.shape)
 
-        grads = [None, _defer(kernel_grads)]
+        grads = [None, _defer(kernel_grads) if w.is_leaf else kernel_grads()]
         if bias is not None:
             grads.append(g.sum(axis=(0, 2, 3)))
         if x.requires_grad:

@@ -49,7 +49,7 @@ def helper_jobs(monkeypatch):
     helper thread itself fails at once instead of deadlocking.
     """
     monkeypatch.setattr(T, "usable_cpus", lambda: 2)
-    pool = T._helper()
+    pool = T._helper
     helper = pool.submit(threading.current_thread).result()
     jobs = HelperJobs()
 
@@ -75,5 +75,5 @@ def helper_jobs(monkeypatch):
             jobs.futures.append(job)
             return job
 
-    monkeypatch.setattr(T, "_helper", Spy)
+    monkeypatch.setattr(T, "_helper", Spy())
     return jobs

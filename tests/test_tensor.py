@@ -248,9 +248,12 @@ def test_conv2d_channel_mismatch():
         T.conv2d(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((1, 3, 2, 2))))
 
 
-def test_conv2d_bad_stride():
-    with pytest.raises(DimensionError):
-        T.conv2d(Tensor(np.zeros((1, 1, 4, 4))), Tensor(np.zeros((1, 1, 2, 2))), stride=0)
+# pad=-3 also leaves the kernel wider than the padded input; the pad is named first
+@pytest.mark.parametrize("arg, value", [("stride", 0), ("stride", -1), ("pad", -1), ("pad", -3)],
+                         ids=["stride=0", "stride=-1", "pad=-1", "pad=-3"])
+def test_conv2d_bad_stride_or_pad(arg, value):
+    with pytest.raises(DimensionError, match=f"conv2d {arg} must be >= [01], got {value}$"):
+        T.conv2d(Tensor(np.zeros((2, 1, 6, 6))), Tensor(np.zeros((1, 1, 2, 2))), **{arg: value})
 
 
 # subsets of the fused epilogue; the layers use bias, bias + relu and all three
@@ -391,8 +394,8 @@ def test_a_backward_walk_hands_the_helper_only_kernel_gradients(geometry, monkey
 @pytest.mark.parametrize("weight", ["reshape", "scale"])
 def test_a_non_leaf_conv_weight_gets_the_serial_gradient_bytes(weight, monkeypatch,
                                                                helper_jobs):
-    # the deferred kernel gradient is waited for when the walk hands it to the
-    # weight's own rule, not at the end
+    # the weight's own rule needs the kernel gradient during the walk, so it
+    # is computed on this thread: a walk defers only leaves' gradients
     x, w, g, stride, pad = _three_chunk_case("2-1", np.float64, monkeypatch)
 
     def run():
@@ -406,19 +409,21 @@ def test_a_non_leaf_conv_weight_gets_the_serial_gradient_bytes(weight, monkeypat
         one_cpu.setattr(T, "usable_cpus", lambda: 1)
         serial = run()
     split = run()
-    assert "kernel_grads" in helper_jobs and helper_jobs.all_done()
+    # the forward still shares its halves with the helper
+    assert helper_jobs and all(isinstance(job, list) for job in helper_jobs)
+    assert "kernel_grads" not in helper_jobs and helper_jobs.all_done()
     for got, want in zip(split, serial, strict=True):
         assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("weight", ["leaf", "scale"])
+# only a leaf weight's kernel gradient is deferred, so only a leaf's task can fail
+@pytest.mark.parametrize("weight", ["leaf"])
 def test_an_error_in_a_deferred_task_propagates_from_backward(weight, monkeypatch,
                                                               helper_jobs):
     x, w, g, stride, pad = _three_chunk_case("2-1", np.float64, monkeypatch)
     xt, wl = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
     bt = Tensor(np.ones(len(w)), requires_grad=True)
-    wt = wl if weight == "leaf" else T.scale(wl, 0.5)
-    out = T.conv2d(xt, wt, stride=stride, pad=pad, bias=bt)
+    out = T.conv2d(xt, wl, stride=stride, pad=pad, bias=bt)
     real = T._patch_chunks
     caller = threading.current_thread()
 
@@ -599,20 +604,38 @@ def test_a_forked_child_starts_a_helper_of_its_own():
         T._PATCH_BYTES = 1  # one sample per chunk
         x, w = T.Tensor(np.ones((4, 2, 5, 5))), T.Tensor(np.ones((3, 2, 3, 3)))
         want = T.conv2d(x, w, pad=1).data.tobytes()
-        parent_pool = T._helper()
+        parent_pool = T._helper
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads
             pid = os.fork()
         if pid == 0:
-            ok = T._helper() is not parent_pool and T.conv2d(x, w, pad=1).data.tobytes() == want
+            ok = T._helper is not parent_pool and T.conv2d(x, w, pad=1).data.tobytes() == want
             os._exit(0 if ok else 1)
         print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
     """)
+    proc = _python(code)
+    assert proc.stdout.strip() == "0", proc.stderr
+
+
+def test_importing_the_engine_starts_no_thread():
+    # the helper's pool is built at import; its thread starts at the first submit
+    code = """
+import threading
+from gazemoe import tensor as T
+before = threading.active_count()
+T._helper.submit(int).result()
+print(before, threading.active_count())
+"""
+    proc = _python(code)
+    assert proc.stdout.strip() == "1 2", proc.stderr
+
+
+def _python(code: str) -> subprocess.CompletedProcess:
+    """``code`` run in a fresh interpreter that imports this tree's gazemoe."""
     src = os.path.dirname(os.path.dirname(T.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path}, check=True, timeout=60)
-    assert proc.stdout.strip() == "0", proc.stderr
 
 
 # -- pooling -------------------------------------------------------------
@@ -657,9 +680,11 @@ def test_softmax_no_overflow_at_1e3():
     np.testing.assert_allclose(out.sum(), 1.0, atol=1e-12)
 
 
-def test_softmax_bad_axis():
-    with pytest.raises(DimensionError):
-        T.softmax(Tensor([[1.0, 2.0]]), axis=2)
+@pytest.mark.parametrize("op", [T.softmax, T.log_softmax], ids=lambda op: op.__name__)
+@pytest.mark.parametrize("axis", [2, -3])
+def test_softmax_bad_axis(op, axis):
+    with pytest.raises(DimensionError, match=f"axis {axis} invalid"):
+        op(Tensor([[1.0, 2.0]]), axis=axis)
 
 
 def test_relu_forward():

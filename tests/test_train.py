@@ -349,7 +349,7 @@ class TestSplitPass:
         # evaluation pass share the one helper, and no other thread starts
         before = threading.active_count()
         monkeypatch.setattr(T, "usable_cpus", lambda: 2)
-        helper = T._helper().submit(threading.current_thread).result()
+        helper = T._helper.submit(threading.current_thread).result()
         seen = []  # (thread, live thread count) at each model forward
         real = HybridMoeNet.__call__
 
@@ -369,7 +369,7 @@ class TestSplitPass:
         # the deferred kernel gradients use the one helper too, and no other thread starts
         before = threading.active_count()
         monkeypatch.setattr(T, "usable_cpus", lambda: 2)
-        helper = T._helper().submit(threading.current_thread).result()
+        helper = T._helper.submit(threading.current_thread).result()
         seen = []  # (thread, live thread count) at each kernel-gradient task
         real = T._defer
 
