@@ -4,12 +4,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractError, MetricUndefinedError
+from .errors import ContractError, MetricUndefinedError, ValidationError
 from .tensor import Tensor
 
 
 def _as_array(x) -> np.ndarray:
     return np.asarray(x.data if isinstance(x, Tensor) else x, dtype=np.float64)
+
+
+def _check_label_range(labels: np.ndarray, num_classes: int) -> None:
+    """Raise ``ValidationError`` on the first label outside [0, num_classes)."""
+    bad = labels[(labels < 0) | (labels >= num_classes)]
+    if bad.size:
+        raise ValidationError(f"label {bad[0]} outside [0, {num_classes})")
 
 
 def accuracy(logits, labels) -> float:
@@ -23,6 +30,7 @@ def accuracy(logits, labels) -> float:
         )
     if scores.shape[0] == 0:
         raise ContractError("accuracy needs at least one sample")
+    _check_label_range(labels, scores.shape[1])
     predictions = np.argmax(scores, axis=1)
     return 100.0 * float(np.mean(predictions == labels))
 
@@ -55,6 +63,7 @@ def macro_auc(scores, labels) -> float:
             f"macro_auc expects scores [M,C] with M labels, "
             f"got {scores.shape} and {labels.shape}"
         )
+    _check_label_range(labels, scores.shape[1])
     if np.unique(labels).size < 2:
         raise MetricUndefinedError(
             "macro AUC undefined with fewer than 2 distinct labels"

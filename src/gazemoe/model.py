@@ -3,8 +3,11 @@ MoE blocks swapped in at configured (stage, block) positions, a gaze
 encoder feeding those blocks, and a linear classification head.
 
 The gaze feature is computed once per forward and passed to every hybrid
-block, which adapts it through its own learned projection. A config with
-no hybrid positions degenerates to a plain residual network that never
+block, which adapts it through its own learned projection. Nothing on the
+image path needs it before the first hybrid block, so the gaze encoder and
+the image path up to that block run as two items of ``tensor._split_map``,
+side by side on the calling thread and the helper. A config with no
+hybrid positions degenerates to a plain residual network that never
 touches the heatmap (baseline mode).
 
 Precision is decided here and nowhere else: every layer is built in
@@ -116,8 +119,17 @@ class HybridMoeNet(Module):
                  heatmap: Tensor | None) -> tuple[Tensor, list[RoutingRecord]]:
         if image.ndim != 4:
             raise DimensionError(f"image must be [B,C,H,W], got {image.shape}")
+        first = next((i for i, blk in enumerate(self.blocks)
+                      if isinstance(blk, HybridMoeBlock)), len(self.blocks))
+
+        def image_path():
+            x = self.stem(image, relu=True)
+            for blk in self.blocks[:first]:
+                x = blk(x)
+            return x
+
         if self.is_baseline:
-            x_exp = None  # heatmap deliberately untouched
+            x, x_exp = image_path(), None  # heatmap deliberately untouched
         else:
             if heatmap is None:
                 raise ContractError("model has hybrid blocks; heatmap is required")
@@ -126,11 +138,10 @@ class HybridMoeNet(Module):
                     f"batch mismatch: {image.shape[0]} images, "
                     f"{heatmap.shape[0]} heatmaps"
                 )
-            x_exp = self.gaze_encoder(heatmap)
-
-        x = self.stem(image, relu=True)
+            x_exp, x = T._split_map(lambda path: path(),
+                                    [lambda: self.gaze_encoder(heatmap), image_path])
         records: list[RoutingRecord] = []
-        for blk in self.blocks:
+        for blk in self.blocks[first:]:
             if isinstance(blk, HybridMoeBlock):
                 x, branch_records = blk(x, x_exp)
                 records.extend(branch_records)

@@ -4,7 +4,9 @@ A hybrid block runs two MoE branches over the same image features: the
 DD branch routes on the globally pooled image feature, the DE branch
 routes on the block's own linear projection of the gaze feature. A
 sigmoid gate conditioned on the pooled and projected features mixes the
-branch outputs convexly.
+branch outputs convexly. The two branches share nothing until the gate,
+so the block runs them as two items of ``tensor._split_map``: side by
+side on the calling thread and the helper, each with its own graph.
 
 Routing is per sample. The router scores all N experts; the k highest
 scores are selected (ties to the lowest index) and their softmax becomes
@@ -174,8 +176,13 @@ class HybridMoeBlock(Module):
             )
         x_exp = self.gaze_proj(x_exp)
         x_f = x.mean(axis=(2, 3))
-        h_dd, rec_dd = self.dd(x, x_f, self.block_id, "DD")
-        h_de, rec_de = self.de(x, x_exp, self.block_id, "DE")
+
+        def run(branch):
+            moe, routing_feature, name = branch
+            return moe(x, routing_feature, self.block_id, name)
+
+        (h_dd, rec_dd), (h_de, rec_de) = T._split_map(
+            run, [(self.dd, x_f, "DD"), (self.de, x_exp, "DE")])
         p = self.gate(x_f, x_exp)  # [B, 1]
         rec_dd.gate_p = rec_de.gate_p = p.data[:, 0].copy()
         pb = p.reshape(x.shape[0], 1, 1, 1)

@@ -15,8 +15,8 @@ class Adam:
     theta <- theta - lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps)
 
     A parameter whose grad is None is skipped for the step (its moment
-    buffers stay put). A non-finite gradient aborts, naming the
-    offending parameter.
+    buffers stay put). A non-finite gradient aborts the step before it
+    changes any parameter, moment or ``t``, naming the offending parameter.
     """
 
     def __init__(self, named_params: list[tuple[str, Tensor]], lr: float,
@@ -37,15 +37,16 @@ class Adam:
         self._v = [np.zeros_like(p.data) for _, p in self.named_params]
 
     def step(self) -> None:
+        for name, p in self.named_params:
+            if p.grad is not None and not np.all(np.isfinite(p.grad)):
+                raise NumericsError(f"non-finite gradient in parameter {name!r}")
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for i, (name, p) in enumerate(self.named_params):
+        for i, (_, p) in enumerate(self.named_params):
             if p.grad is None:
                 continue
             g = p.grad
-            if not np.all(np.isfinite(g)):
-                raise NumericsError(f"non-finite gradient in parameter {name!r}")
             self._m[i] = self.beta1 * self._m[i] + (1.0 - self.beta1) * g
             self._v[i] = self.beta2 * self._v[i] + (1.0 - self.beta2) * g * g
             m_hat = self._m[i] / bc1

@@ -3,8 +3,9 @@
 Tensors wrap a numpy array (float64 by default, float32 optional). Every
 differentiable operation records its inputs and a backward rule on the
 output tensor; ``backward`` orders the recorded graph by a depth-first
-walk and propagates adjoints through it once, in reverse order. The walk
-consumes the graph: each node drops its inputs and rule before the rule
+walk and propagates adjoints through it once, each sum in the order of a
+serial walk in reverse, so the bits are that walk's even when two
+threads walk it. The walk consumes the graph: each node drops its inputs and rule before the rule
 runs, so an intermediate array is freed as soon as its last consumer has
 passed its adjoint on, and a training step's graph is gone before the
 next forward builds its own. Differentiating a consumed graph again
@@ -30,7 +31,8 @@ missing (not glibc) this is skipped.
 Top-k style index selection is deliberately *not* differentiable: the
 indexing ops move values around and route gradients back to where they
 came from; ``put_rows`` sums row blocks in list order, the MoE combine.
-Graph recording is per thread: ``no_grad`` leaves other threads recording.
+Graph recording is per thread: ``no_grad`` leaves other threads recording,
+except the helper while it runs this thread's ``_split_map`` items.
 
 ``conv2d`` runs as BLAS GEMMs over a channel-major patch matrix of shape
 [C*kh*kw, B*H'*W']. It is built a few samples at a time in one reused,
@@ -39,20 +41,20 @@ and GEMMed straight into the output (forward) or the kernel gradient
 (backward). Every numpy call hands the GIL over, so a chunk takes few.
 A stride-1 conv with a square kernel wider than its padding gets its
 input gradient as a conv of the output gradient with the flipped kernel;
-every other conv folds each chunk's ``w.T @ g`` back into the input.
+every other conv folds each chunk's ``w.T @ g`` straight into the input
+gradient.
 
 The program's one second thread is a helper: its pool is built at
 import, starts the thread at the first submit and keeps it for the life
-of the process. It has three jobs. ``_split_map`` shares a list of items
-with it and states the one rule that keeps at most two threads busy: a
-conv of two or more chunks shares the two halves of its forward GEMMs,
-so a training step's forward convs use two cores (BLAS releases the
-GIL), and the evaluation pass shares its batches, whose convs run
-inline. A ``backward`` walk gives the helper only the kernel gradient
-of each conv whose weight is a leaf, as one deferred task (``_defer``):
-a leaf's gradient goes only into its ``.grad``, after the walk, so this
-thread carries the input gradients on meanwhile and waits for the tasks
-once, at the end.
+of the process. ``_split_map`` shares a list of items with it and states
+the one rule that keeps at most two threads busy. The forward shares
+independent work: the gaze encoder beside the image stem, a hybrid
+block's DD and DE branches, and otherwise a conv's two halves of its
+forward GEMMs (BLAS releases the GIL); the evaluation pass shares its
+batches, whose forwards run inline. A ``backward`` walk makes the helper
+a second walker: both threads take nodes, and each conv's kernel
+gradient as a task of its own (``_defer``), from one ready list
+(``_Walk``).
 
 ``conv2d`` also takes an optional epilogue: after the GEMMs it adds the
 bias, then the residual, then applies relu, in place on the whole output.
@@ -65,6 +67,8 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import heapq
+import itertools
 import os
 import threading
 from concurrent import futures
@@ -102,7 +106,7 @@ _keep_freed_pages()
 class _ThreadState(threading.local):
     grad = True  # this thread records graphs
     shares = True  # this thread may share work with the helper
-    tasks: list | None = None  # the helper tasks forked by this thread's running backward
+    walk: tuple | None = None  # (walk, node index) while this thread runs a backward rule
 
 
 _state = _ThreadState()
@@ -278,22 +282,48 @@ def backward(loss: Tensor) -> None:
     ordered, so no ``.grad`` changes. Calls over separate graphs
     accumulate into ``.grad`` until ``zero_grad``.
 
-    Only op nodes' adjoints are summed during the walk. Each gradient a
-    rule returns for a leaf is queued as it comes and added into the
-    leaf's ``.grad`` after the walk, in walk order: one addition per
-    input of each node, so a leaf that is two inputs of one node gets
-    two. A leaf's gradient may be a task the helper thread is still
-    computing (``_defer``; a conv's kernel gradient); the walk waits for
-    the tasks once, before the first addition, so the sums are those of
-    a walk that never deferred. This returns or raises only once every task it forked has
-    finished; if a rule or a task raises, no ``.grad`` changes.
+    The graph is ordered by a depth-first walk; the serial walk would run
+    the nodes in reverse of that order. Here this thread and the helper
+    both take work from one ready list (``_Walk``): a node is ready once
+    every node that consumes it has run, and the ready node latest in the
+    serial order goes first, each deferred kernel gradient (``_defer``)
+    right after its own node. A node's adjoint adds its consumers'
+    gradients in the serial walk's order and association, each as soon
+    as every one before it is in, so the sums are the serial walk's bit
+    for bit. Each gradient a rule returns for a leaf keeps its place in
+    the serial order and is added into the leaf's ``.grad`` after the
+    walk, in that order: one addition per input of each node, so a leaf
+    that is two inputs of one node gets two. With one usable CPU, on the
+    helper, or inside a share (see ``_split_map``) this thread walks
+    alone. This returns or raises only once both walkers have stopped;
+    the first error stops both, and then no ``.grad`` changes.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
     if not loss.requires_grad:
         raise ContractError("loss does not require grad; nothing to differentiate")
-    # iterative post-order DFS: every op node lands after its inputs
-    nodes: list[Tensor | None] = []
+    walk = _Walk(loss, _order(loss))
+    shares, _state.shares = _state.shares, False  # a rule's _split_map runs inline
+    helper = _helper.submit(walk.walker) if shares and usable_cpus() >= 2 else None
+    try:
+        walk.walker()
+    finally:
+        _state.shares = shares
+        if helper is not None:
+            futures.wait((helper,))
+    if walk.error is not None:
+        raise walk.error
+    for leaf, g in zip(walk.leaves, walk.grads):
+        if g is not None:
+            leaf.accumulate_grad(g.result() if isinstance(g, futures.Future) else g)
+
+
+def _order(loss: Tensor) -> list[Tensor]:
+    """The op nodes behind ``loss`` in post-order: every one after its inputs.
+
+    Raises ``ContractError`` at a node an earlier walk has consumed.
+    """
+    nodes: list[Tensor] = []
     visited: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(loss, False)]
     while stack:
@@ -311,41 +341,144 @@ def backward(loss: Tensor) -> None:
         for parent in node._parents:
             if parent.requires_grad:
                 stack.append((parent, False))
+    return nodes
 
-    seed = np.ones_like(loss.data)
-    adjoint = {id(loss): seed}  # op nodes' adjoints; leaves' gradients go to flushes
-    # (tensor, gradient) in walk order; no .grad changes until the walk is done
-    flushes = [(loss, seed)]
-    tasks = _state.tasks = []
-    try:
-        for i in range(len(nodes) - 1, -1, -1):
-            node = nodes[i]
-            # unhook the node first: once its rule has run, nothing but the
-            # caller's own names keeps its inputs or their saved arrays alive
-            parents, back = node._parents, node._backward
-            node._parents = ()
-            node._backward = _consumed
-            nodes[i] = None
-            g = adjoint.pop(id(node), None)
-            if g is None:
-                continue
-            for parent, pg in zip(parents, back(g)):
-                if pg is None or not parent.requires_grad:
-                    continue
-                key = id(parent)
-                if parent.is_leaf:
-                    flushes.append((parent, pg))
-                elif key in adjoint:
-                    adjoint[key] = adjoint[key] + pg
+
+class _Adjoint:
+    """A node's adjoint: its consumers' gradients, added in serial walk order."""
+
+    __slots__ = ("edges", "added", "value", "early", "busy")
+
+    def __init__(self):
+        self.edges = 0  # gradients the node gets, one per consumer input it is
+        self.added = 0  # how many of them are in ``value``
+        self.value = None  # their sum so far, None while every one was None
+        self.early: dict = {}  # edge -> a gradient that came before its turn
+        self.busy = False  # a thread is adding to ``value``
+
+
+class _Walk:
+    """One ``backward`` pass's ready list, shared by the threads that walk it.
+
+    Nodes are named by their index ``i`` in the depth-first order, so the
+    serial walk runs ``i`` from the last down to 0. A node's gradient for
+    its input ``s`` goes to edge ``k`` of that input's ``_Adjoint`` when
+    the input is an op node (its consumers' edges numbered by consumer
+    index descending, then input slot), else to slot ``k`` of ``grads``,
+    the leaf gradients in the order the serial walk would queue them.
+    """
+
+    def __init__(self, loss: Tensor, nodes: list):
+        seed = np.ones_like(loss.data)
+        index = {id(node): i for i, node in enumerate(nodes)}
+        self.nodes = nodes
+        self.adjoints = [_Adjoint() for _ in nodes]
+        self.leaves = [loss]  # the serial walk queues the loss's own seed first
+        self.targets: list = [None] * len(nodes)  # per node, per input: (node or None, k)
+        for j in range(len(nodes) - 1, -1, -1):
+            targets = []
+            for parent in nodes[j]._parents:
+                if not parent.requires_grad:
+                    targets.append(None)
+                elif parent.is_leaf:
+                    targets.append((None, len(self.leaves)))
+                    self.leaves.append(parent)
                 else:
-                    adjoint[key] = pg
-    finally:
-        _state.tasks = None
-        futures.wait(tasks)
-    for task in tasks:
-        task.result()  # a task's error, before any .grad changes
-    for tensor, g in flushes:
-        tensor.accumulate_grad(g.result() if isinstance(g, futures.Future) else g)
+                    p = index[id(parent)]
+                    targets.append((p, self.adjoints[p].edges))
+                    self.adjoints[p].edges += 1
+            self.targets[j] = targets
+        self.grads: list = [seed] + [None] * (len(self.leaves) - 1)
+        self.cond = threading.Condition()
+        # (-i, 0, adjoint) for node i, (-i, n, (fn, future)) for its n-th deferred task
+        self.ready: list = [(1 - len(nodes), 0, seed)] if nodes else []  # the loss
+        self.tasks = 0
+        self.left = len(nodes)  # nodes and tasks not yet run
+        self.error: BaseException | None = None
+
+    def walker(self) -> None:
+        """Run ready items, latest in serial order first, until none is left or one fails."""
+        prev = _state.walk
+        try:
+            while True:
+                with self.cond:
+                    while not self.ready and self.left and self.error is None:
+                        self.cond.wait()
+                    if not self.left or self.error is not None:
+                        return
+                    rank, n, item = heapq.heappop(self.ready)
+                if n:
+                    item[1].set_result(item[0]())  # (fn, future)
+                else:
+                    _state.walk = (self, -rank)
+                    self._run(-rank, item)
+                del item
+                with self.cond:
+                    self.left -= 1
+                    if not self.left:
+                        self.cond.notify_all()
+        except BaseException as e:  # the first error stops both walkers
+            with self.cond:
+                if self.error is None:
+                    self.error = e
+                self.cond.notify_all()
+        finally:
+            _state.walk = prev
+
+    def post(self, i: int, fn: Callable[[], np.ndarray]) -> futures.Future:
+        """Queue ``fn``, a leaf's gradient for node ``i``'s rule, right after node ``i``."""
+        task = futures.Future()
+        with self.cond:
+            self.tasks += 1
+            self.left += 1
+            heapq.heappush(self.ready, (-i, self.tasks, (fn, task)))
+            self.cond.notify()
+        return task
+
+    def _run(self, i: int, g: np.ndarray | None) -> None:
+        """Run node ``i``'s rule on its adjoint ``g`` and pass each gradient on."""
+        node, self.nodes[i] = self.nodes[i], None
+        # unhook the node first: once its rule has run, nothing but the
+        # caller's own names keeps its inputs or their saved arrays alive
+        back = node._backward
+        node._parents = ()
+        node._backward = _consumed
+        del node
+        grads = () if g is None else back(g)
+        del g, back
+        targets, self.targets[i] = self.targets[i], None
+        # a rule that returns fewer gradients than inputs gives the rest nothing
+        for target, pg in zip(targets, itertools.chain(grads, itertools.repeat(None))):
+            if target is None:
+                continue
+            p, k = target
+            if p is None:
+                self.grads[k] = pg
+            else:
+                self._add(p, k, pg)
+
+    def _add(self, p: int, k: int, g: np.ndarray | None) -> None:
+        """Give node ``p`` its edge-``k`` gradient; the node is ready once all are in."""
+        adjoint = self.adjoints[p]
+        with self.cond:
+            adjoint.early[k] = g
+            if adjoint.busy:
+                return  # the busy thread adds it in turn
+            adjoint.busy = True
+        # this thread alone adds to the value until the next edge's gradient is missing
+        while True:
+            with self.cond:
+                if adjoint.added not in adjoint.early:
+                    adjoint.busy = False
+                    if adjoint.added == adjoint.edges:
+                        heapq.heappush(self.ready, (-p, 0, adjoint.value))
+                        adjoint.value = None
+                        self.cond.notify()
+                    return
+                g = adjoint.early.pop(adjoint.added)
+            adjoint.added += 1
+            if g is not None:
+                adjoint.value = g if adjoint.value is None else adjoint.value + g
 
 
 def _consumed(*_):
@@ -554,57 +687,72 @@ def _patch_chunks(x: np.ndarray, kh: int, kw: int, stride: int, pad: int, oh: in
         yield b0, cols.reshape(C * kh * kw, n, oh * ow)
 
 
-def _drain(fn: Callable, todo: Iterable[tuple[int, object]], results: list) -> None:
-    # two threads may share ``todo``: each next() on it is one C call, atomic under the GIL
-    for i, item in todo:
-        results[i] = fn(item)
+def _drain(fn: Callable, todo: Iterable[tuple[int, object]], results: list, failed: list,
+           grad: bool) -> None:
+    """Run ``fn`` on the next untaken item of ``todo`` under ``grad`` until none is left.
+
+    Stops at an item that raises, with ``(index, error)`` put on ``failed``.
+    """
+    prev, _state.grad = _state.grad, grad
+    try:
+        # two threads may share ``todo``: each next() on it is one C call, atomic under the GIL
+        for i, item in todo:
+            try:
+                results[i] = fn(item)
+            except BaseException as e:
+                failed.append((i, e))
+                return
+    finally:
+        _state.grad = prev
 
 
 def _split_map(fn: Callable, items: Sequence) -> list:
     """``[fn(item) for item in items]``, the items shared with the helper thread.
 
     This thread and the helper each take the next untaken item until none
-    is left; results come back in item order. It shares only with at least
-    two items, in a process that may use two CPUs, on a thread not already
-    inside a share and not running a ``backward`` walk: this thread clears
-    its flag while it drains and the helper's is always clear, so a nested
-    call runs inline and nothing on the helper ever waits for the helper;
-    a walk keeps the helper for its kernel-gradient tasks (``_defer``) and
-    joins them before it returns, so this thread's shares never queue
-    behind them. Both threads are done with the items before this returns
-    or raises; an error from either propagates.
+    is left, each under this thread's grad mode (``no_grad`` here holds for
+    the helper's items too); results come back in item order. It shares
+    only with at least two items, in a process that may use two CPUs, on a
+    thread that may share: this thread clears its flag while it drains and
+    while it walks a ``backward`` graph, and the helper's is always clear,
+    so a nested call, or one from a backward rule, runs inline and nothing
+    on the helper ever waits for the helper. Both threads are done with the
+    items before this returns or raises. If items raise, the error of the
+    first of them in item order propagates: every item before it was taken
+    first and ran to the end, so it is the error a serial loop would raise.
     """
-    if len(items) < 2 or not _state.shares or _state.tasks is not None or usable_cpus() < 2:
+    if len(items) < 2 or not _state.shares or usable_cpus() < 2:
         return [fn(item) for item in items]
     results = [None] * len(items)
+    failed: list = []
     todo = enumerate(items)
-    helper = _helper.submit(_drain, fn, todo, results)
+    helper = _helper.submit(_drain, fn, todo, results, failed, _state.grad)
     _state.shares = False
     try:
-        _drain(fn, todo, results)
+        _drain(fn, todo, results, failed, _state.grad)
     finally:
         _state.shares = True
         futures.wait((helper,))
     helper.result()
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
     return results
 
 
 def _defer(fn: Callable[[], np.ndarray]):
     """``fn()``, a leaf's gradient, computed off the backward walk.
 
-    Inside a ``backward`` walk, on a thread that may share (see
-    ``_split_map``), in a process that may use two CPUs, ``fn`` is queued
-    on the helper and its ``Future`` comes back, which the walk waits for
-    once, after its last rule; anywhere else ``fn`` runs here, at once.
-    Only a leaf's gradient may be deferred, so no rule is handed a
-    ``Future``.
+    Inside a ``backward`` rule, ``fn`` is queued on the walk's ready list
+    right after the rule's own node, and the ``Future`` of its result comes
+    back; whichever walker is free runs it, and the walk adds the result
+    into the leaf's ``.grad`` after its last item. Anywhere else ``fn``
+    runs here, at once. Only a leaf's gradient may be deferred, so no rule
+    is handed a ``Future``.
     """
-    tasks = _state.tasks
-    if tasks is None or not _state.shares or usable_cpus() < 2:
+    if _state.walk is None:
         return fn()
-    task = _helper.submit(fn)
-    tasks.append(task)
-    return task
+    walk, i = _state.walk
+    return walk.post(i, fn)
 
 
 def _chunk_halves(x: np.ndarray, kh: int, kw: int, oh: int, ow: int) -> list[tuple[int, int]]:
@@ -652,8 +800,13 @@ def _conv_input_grad(g: np.ndarray, x: np.ndarray, w: np.ndarray, stride: int,
 
     A stride-1 conv with a square kernel wider than its padding gets it as a
     conv of ``g`` with the flipped, transposed kernel; any other folds each
-    patch chunk's ``w.T @ g`` back into a zero-bordered input, one slice-add
-    per kernel offset. Inside a ``backward`` walk both run on this thread.
+    patch chunk's ``w.T @ g`` straight into the zero input gradient, one
+    slice-add per kernel offset over the output positions that land inside
+    the input (those that land in the padding add nothing to it). Each
+    element gets the same additions in the same order as it would in a
+    zero-padded buffer, so the bits are the same, without the padded buffer
+    or a copy out of it. Inside a ``backward`` walk both run on the thread
+    that runs the rule.
     """
     B, C, H, W = x.shape
     O, _, kh, kw = w.shape
@@ -661,17 +814,25 @@ def _conv_input_grad(g: np.ndarray, x: np.ndarray, w: np.ndarray, stride: int,
         return _conv_forward(g, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), 1, kh - 1 - pad)
     oh, ow = g.shape[2:]
     wmat = w.reshape(O, -1)
-    dxp = np.zeros((C, B, H + 2 * pad, W + 2 * pad), dtype=g.dtype)
+
+    def inside(k: int, size: int, n: int) -> tuple[int, int, slice]:
+        """Outputs [lo, hi) whose input index k + stride*y - pad is in range, and those indices."""
+        lo = max(0, -(-(pad - k) // stride))
+        hi = min(n, (size - 1 - k + pad) // stride + 1)
+        first = k + stride * lo - pad
+        return lo, hi, slice(first, first + stride * (hi - lo - 1) + 1, stride)
+
+    offsets = [(i, j, inside(i, H, oh), inside(j, W, ow)) for i in range(kh) for j in range(kw)]
+    dx = np.zeros((B, C, H, W), dtype=g.dtype)
     nb = _chunk_samples(x, kh, kw, oh, ow)  # the patch matrix's chunks
     for b0 in range(0, B, nb):
         n = min(nb, B - b0)
         gm = g[b0 : b0 + n].transpose(1, 0, 2, 3).reshape(O, -1)  # [O, n*L]
-        dcols = (wmat.T @ gm).reshape(C, kh, kw, n, oh, ow)
-        for i in range(kh):
-            for j in range(kw):
-                dxp[:, b0 : b0 + n, i : i + stride * oh : stride,
-                    j : j + stride * ow : stride] += dcols[:, i, j]
-    return np.ascontiguousarray(dxp[:, :, pad : pad + H, pad : pad + W].transpose(1, 0, 2, 3))
+        dcols = (wmat.T @ gm).reshape(C, kh, kw, n, oh, ow).transpose(3, 0, 1, 2, 4, 5)
+        for i, j, (y0, y1, rows), (x0, x1, cols) in offsets:
+            if y1 > y0 and x1 > x0:
+                dx[b0 : b0 + n, :, rows, cols] += dcols[:, :, i, j, y0:y1, x0:x1]
+    return dx
 
 
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0, bias: Tensor | None = None,
@@ -699,19 +860,18 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0, bias: Tensor | N
     needs one, is a stride-1 conv of ``g`` with the flipped, transposed
     kernel and padding ``k - 1 - pad`` if ``stride == 1`` and the kernel is
     a square k x k with ``pad < k`` (its output is exactly H x W);
-    otherwise each chunk's ``w.T @ g`` is folded back with one slice-add
+    otherwise each chunk's ``w.T @ g`` is folded into it with one slice-add
     per kernel offset.
 
     The forward GEMMs share their chunks with the helper thread as two
     halves split at a chunk boundary (``_split_map``). Inside ``backward``
     a leaf ``w``'s kernel gradient is one deferred task (``_defer``) that
-    the helper runs while this thread computes the bias and input
-    gradients and the walk goes on; ``backward`` waits for it after the
-    walk. A non-leaf ``w``'s runs here, as ``w``'s own rule needs it. The
-    bits match one thread's: each chunk and its BLAS calls are the same,
-    the halves write disjoint samples, the kernel-gradient loop runs the
-    chunks in order on one thread, and the epilogue and relu mask run
-    here, once, on the whole array.
+    either walker may run while the rule's thread computes the bias and
+    input gradients and walks on. A non-leaf ``w``'s runs in the rule, as
+    ``w``'s own rule needs it. The bits match one thread's: each chunk and
+    its BLAS calls are the same, the halves write disjoint samples, the
+    kernel-gradient loop runs the chunks in order on one thread, and the
+    epilogue and relu mask run once, on the whole array.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise DimensionError(f"conv2d expects 4-d input and kernel, got {x.shape} and {w.shape}")

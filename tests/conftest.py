@@ -26,8 +26,9 @@ settings.load_profile("default")
 class HelperJobs(list):
     """The helper's jobs in submit order, with the futures it was handed.
 
-    A ``_split_map`` job is the list of items the helper ran; a deferred
-    task (``_defer``) is its function's name.
+    A ``_split_map`` job is the list of items the helper ran; any other job
+    is its function's name: ``"walker"`` for a ``backward`` pass's second
+    walker.
     """
 
     def __init__(self):
@@ -60,7 +61,7 @@ def helper_jobs(monkeypatch):
                 jobs.append(fn.__name__)
                 job = pool.submit(fn, *args)
             else:
-                item_fn, todo, results = args
+                item_fn, todo, *rest = args
                 ran = []
                 jobs.append(ran)
                 took = threading.Event()
@@ -70,7 +71,7 @@ def helper_jobs(monkeypatch):
                     took.set()
                     return item_fn(item)
 
-                job = pool.submit(fn, run, todo, results)
+                job = pool.submit(fn, run, todo, *rest)
                 took.wait(10)
             jobs.futures.append(job)
             return job

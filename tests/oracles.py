@@ -135,6 +135,38 @@ def composite_grad_oracle(theta, w):
     return matmul_oracle(g, w.T), matmul_oracle(theta.T, g)
 
 
+def serial_backward_oracle(loss):
+    """``tensor.backward`` as one loop on one thread, the order its sums must keep.
+
+    Walks the graph's op nodes in reverse post-order. A node's adjoint adds its
+    consumers' gradients as they come (consumer by consumer, input by input), and
+    every leaf gradient is added into ``.grad`` after the loop, in the order the
+    loop produced it. Consumes the graph as ``backward`` does.
+    """
+    from gazemoe import tensor as T
+
+    seed = np.ones_like(loss.data)
+    adjoint = {id(loss): seed}
+    queued = [(loss, seed)]
+    for node in reversed(T._order(loss)):
+        parents, back = node._parents, node._backward
+        node._parents, node._backward = (), T._consumed
+        g = adjoint.pop(id(node), None)
+        if g is None:
+            continue
+        for parent, pg in zip(parents, back(g)):
+            if pg is None or not parent.requires_grad:
+                continue
+            if parent.is_leaf:
+                queued.append((parent, pg))
+            elif id(parent) in adjoint:
+                adjoint[id(parent)] = adjoint[id(parent)] + pg
+            else:
+                adjoint[id(parent)] = pg
+    for tensor, g in queued:
+        tensor.accumulate_grad(g)
+
+
 def cross_entropy_oracle(logits, labels):
     """Mean negative log-softmax probability of the true class."""
     logits = np.asarray(logits, dtype=np.float64)

@@ -241,6 +241,16 @@ def test_accuracy_rejects_a_label_count_that_does_not_match(labels):
         accuracy(np.eye(3), labels)
 
 
+@pytest.mark.parametrize("label", [-1, 3, 7])
+def test_metrics_reject_a_label_outside_the_classes(label):
+    # both used to score these: accuracy 75.0, macro_auc 94.4 at label 7
+    scores = np.eye(3)[[0, 1, 2, 0]]
+    labels = [0, 1, 2, label]
+    for metric in (accuracy, macro_auc):
+        with pytest.raises(ValidationError, match=rf"label {label} outside \[0, 3\)"):
+            metric(scores, labels)
+
+
 def test_accuracy_rejects_logits_that_are_not_a_matrix():
     with pytest.raises(ContractError, match="logits"):
         accuracy(np.zeros(3), [0, 1, 2])

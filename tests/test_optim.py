@@ -76,6 +76,24 @@ class TestAdam:
         with pytest.raises(NumericsError, match="'b'"):
             opt.step()
 
+    def test_a_non_finite_gradient_changes_no_state(self):
+        p, q = _scalar_param(1.0), _scalar_param(2.0)
+        opt = Adam([("p", p), ("q", q)], lr=0.1)
+        p.grad, q.grad = np.array([0.5]), np.array([np.nan])
+        with pytest.raises(NumericsError, match="'q'"):
+            opt.step()
+        # p comes first, yet neither it nor its moments nor t moved
+        assert p.data.item() == 1.0 and q.data.item() == 2.0
+        assert opt.t == 0
+        assert not any(buf.any() for buf in opt._m + opt._v)
+        # so the next step is the first one, as on a fresh optimizer
+        q.grad = np.array([0.25])
+        opt.step()
+        p2, q2 = _scalar_param(1.0), _scalar_param(2.0)
+        p2.grad, q2.grad = np.array([0.5]), np.array([0.25])
+        Adam([("p", p2), ("q", q2)], lr=0.1).step()
+        assert (p.data.item(), q.data.item()) == (p2.data.item(), q2.data.item())
+
     def test_converges_on_quadratic(self):
         history = _run_adam_on_quadratic(3.0, lr=0.2, steps=200)
         assert abs(history[-1]) < 0.05 < abs(history[0])

@@ -358,9 +358,9 @@ def test_conv2d_split_over_the_helper_matches_serial_bitwise(geometry, dtype, mo
     assert helper_jobs == []
     split = _conv_run(x, w, g, stride, pad, b)
     # the forward shares the halves (0, 4) and (4, 5), the helper taking (0, 4)
-    # first; the backward defers only its kernel gradient to the helper
+    # first; the backward hands the helper one job, its second walker
     assert len(helper_jobs) == 2 and helper_jobs[0][0] == (0, 4)
-    assert helper_jobs[1] == "kernel_grads"
+    assert helper_jobs[1] == "walker"
     assert helper_jobs.all_done()
     for got, want in zip(split, serial, strict=True):
         assert got.dtype == dtype
@@ -369,8 +369,8 @@ def test_conv2d_split_over_the_helper_matches_serial_bitwise(geometry, dtype, mo
 
 # 3x3-s1-p1 takes the transposed-dx conv, 2-1 the strided fold
 @pytest.mark.parametrize("geometry", ["3x3-s1-p1", "2-1"])
-def test_a_backward_walk_hands_the_helper_only_kernel_gradients(geometry, monkeypatch,
-                                                                helper_jobs):
+def test_a_backward_walk_hands_the_helper_one_walker_and_no_split_job(geometry, monkeypatch,
+                                                                      helper_jobs):
     x, w, g, stride, pad = _three_chunk_case(geometry, np.float64, monkeypatch)
     b = np.random.default_rng(1).normal(size=w.shape[0])
 
@@ -385,8 +385,8 @@ def test_a_backward_walk_hands_the_helper_only_kernel_gradients(geometry, monkey
         one_cpu.setattr(T, "usable_cpus", lambda: 1)
         serial = run()
     split = run()
-    # the input gradient runs on this thread: no split job, only the deferred task
-    assert helper_jobs == ["kernel_grads"] and helper_jobs.all_done()
+    # the input gradient's conv runs inline on whichever walker runs the rule
+    assert helper_jobs == ["walker"] and helper_jobs.all_done()
     for got, want in zip(split, serial, strict=True):
         assert got.tobytes() == want.tobytes()
 
@@ -394,9 +394,13 @@ def test_a_backward_walk_hands_the_helper_only_kernel_gradients(geometry, monkey
 @pytest.mark.parametrize("weight", ["reshape", "scale"])
 def test_a_non_leaf_conv_weight_gets_the_serial_gradient_bytes(weight, monkeypatch,
                                                                helper_jobs):
-    # the weight's own rule needs the kernel gradient during the walk, so it
-    # is computed on this thread: a walk defers only leaves' gradients
+    # the weight's own rule needs the kernel gradient during the walk, so the
+    # conv's rule computes it: a walk defers only leaves' gradients
     x, w, g, stride, pad = _three_chunk_case("2-1", np.float64, monkeypatch)
+    posted = []
+    real_post = T._Walk.post
+    monkeypatch.setattr(T._Walk, "post",
+                        lambda walk, i, fn: posted.append(fn) or real_post(walk, i, fn))
 
     def run():
         xt, wl = Tensor(x, requires_grad=True), Tensor(w.reshape(len(w), -1), requires_grad=True)
@@ -409,9 +413,10 @@ def test_a_non_leaf_conv_weight_gets_the_serial_gradient_bytes(weight, monkeypat
         one_cpu.setattr(T, "usable_cpus", lambda: 1)
         serial = run()
     split = run()
-    # the forward still shares its halves with the helper
-    assert helper_jobs and all(isinstance(job, list) for job in helper_jobs)
-    assert "kernel_grads" not in helper_jobs and helper_jobs.all_done()
+    # the forward still shares its halves with the helper, and the walk its items
+    assert len(helper_jobs) == 2 and isinstance(helper_jobs[0], list)
+    assert helper_jobs[1] == "walker" and helper_jobs.all_done()
+    assert posted == []
     for got, want in zip(split, serial, strict=True):
         assert got.tobytes() == want.tobytes()
 
@@ -425,21 +430,19 @@ def test_an_error_in_a_deferred_task_propagates_from_backward(weight, monkeypatc
     bt = Tensor(np.ones(len(w)), requires_grad=True)
     out = T.conv2d(xt, wl, stride=stride, pad=pad, bias=bt)
     real = T._patch_chunks
-    caller = threading.current_thread()
 
     def chunks(*args):
-        # only the kernel-gradient task runs on the helper in this backward
-        if threading.current_thread() is not caller:
-            time.sleep(0.05)  # the walk has moved on
-            raise RuntimeError("kernel gradient failed")
-        return real(*args)
+        # the strided fold gathers no patches: only the kernel-gradient task
+        # calls this in the backward, on whichever walker takes it
+        time.sleep(0.05)  # the other walker has moved on
+        raise RuntimeError("kernel gradient failed")
 
     monkeypatch.setattr(T, "_patch_chunks", chunks)
     with pytest.raises(RuntimeError, match="kernel gradient failed"):
         backward((out * Tensor(g)).sum())
-    assert "kernel_grads" in helper_jobs
+    assert helper_jobs[-1] == "walker"
     assert helper_jobs.all_done()  # nothing queued or running on the helper
-    assert T._state.tasks is None
+    assert T._state.walk is None
     assert xt.grad is None and wl.grad is None and bt.grad is None  # no .grad changed
     monkeypatch.setattr(T, "_patch_chunks", real)
     with monkeypatch.context() as one_cpu:
@@ -453,26 +456,133 @@ def test_a_rule_that_raises_mid_walk_waits_for_the_forked_tasks(monkeypatch, hel
     x0, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
     xt = T.scale(x0, 1.0)
     out = T.conv2d(xt, wt, stride=stride, pad=pad)
-    real = T._patch_chunks
-    caller = threading.current_thread()
+    real = T._defer
     finished = []
 
-    def chunks(*args):
-        if threading.current_thread() is not caller:
+    def defer(fn):
+        def slow():
             time.sleep(0.1)  # the kernel gradient is still running when the walk fails
-        yield from real(*args)
-        finished.append(threading.current_thread())
+            grad = fn()
+            finished.append(threading.current_thread())
+            return grad
+
+        return real(slow)
 
     def fail(g):
         raise RuntimeError("rule failed")
 
-    monkeypatch.setattr(T, "_patch_chunks", chunks)
-    xt._backward = fail  # the walk reaches x's rule after the conv's
+    monkeypatch.setattr(T, "_defer", defer)
+    xt._backward = fail  # ranked after the conv's kernel-gradient task
     with pytest.raises(RuntimeError, match="rule failed"):
         backward((out * Tensor(g)).sum())
-    assert helper_jobs[0][0] == (0, 4) and helper_jobs[1] == "kernel_grads"
-    assert helper_jobs.all_done() and finished[-1] is not caller
+    assert helper_jobs[0][0] == (0, 4) and helper_jobs[1] == "walker"
+    assert helper_jobs.all_done() and len(finished) == 1
     assert x0.grad is None and wt.grad is None
+
+
+def _fan_out_grads(x0, w0, k0, walk=backward):
+    """The leaves' gradients of a graph where ``h`` feeds six ops, ``h * h`` among them,
+    and the leaves ``x`` and ``w`` get four and three gradients, ``x * x`` among them."""
+    x, w, k = (Tensor(a, requires_grad=True) for a in (x0, w0, k0))
+    h = x @ w
+    conv = T.conv2d(h.reshape(4, 4, 8, 8), k, pad=1)  # a leaf kernel: a deferred task
+    parts = [h * h, T.relu(h) @ w, T.sigmoid(h) * x, T.softmax(h, axis=1) * h.sum(axis=0),
+             conv.reshape(16, 48) * 1e3, (x * x) @ w]
+    loss = parts[0].sum()
+    for part in parts[1:]:
+        loss = loss + part.sum()
+    walk(loss)
+    return x.grad, w.grad, k.grad
+
+
+def test_fan_out_walks_on_one_or_two_threads_give_the_serial_bytes(monkeypatch, helper_jobs):
+    rng = np.random.default_rng(4)
+    # magnitudes far apart, so adding the contributions in another order shows
+    w = rng.normal(size=(64, 64)) * 10.0 ** rng.integers(-4, 4, (64, 64))
+    leaves = (rng.normal(size=(16, 64)), w, rng.normal(size=(3, 4, 3, 3)))
+    with monkeypatch.context() as one_cpu:
+        one_cpu.setattr(T, "usable_cpus", lambda: 1)
+        want = _fan_out_grads(*leaves, walk=oracles.serial_backward_oracle)
+        one = _fan_out_grads(*leaves)
+    assert helper_jobs == []
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(one, want, strict=True))
+    ran_on = set()  # the threads that ran a node's rule
+    real_run = T._Walk._run
+
+    def run(walk, i, g):
+        ran_on.add(threading.current_thread())
+        real_run(walk, i, g)
+
+    monkeypatch.setattr(T._Walk, "_run", run)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the GIL between the walkers at every chance
+    try:
+        runs = [_fan_out_grads(*leaves) for _ in range(50)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert helper_jobs == ["walker"] * 50 and helper_jobs.all_done()
+    assert len(ran_on) == 2  # both walkers ran rules
+    for got in runs:
+        for a, b in zip(got, want, strict=True):
+            assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("failing", ["caller", "helper"])
+def test_a_rule_that_raises_on_either_thread_changes_no_grad(failing, helper_jobs):
+    rng = np.random.default_rng(5)
+    x, y, c = (Tensor(rng.normal(size=(6, 5)), requires_grad=True) for _ in range(3))
+    c.grad = np.ones((6, 5))
+    before = c.grad.copy()
+    p, q = T.scale(x, 2.0), T.scale(y, 3.0)
+    # c gets its gradient before either branch's rule runs
+    loss = T.sigmoid(p).sum() + (T.relu(q) * c).sum()
+    both = threading.Barrier(2, timeout=10)  # each walker holds one branch's rule
+    caller = threading.current_thread()
+
+    def gate(back):
+        def rule(g):
+            both.wait()
+            if (threading.current_thread() is caller) == (failing == "caller"):
+                raise RuntimeError(f"rule failed on the {failing}")
+            return back(g)
+
+        return rule
+
+    p._backward, q._backward = gate(p._backward), gate(q._backward)
+    with pytest.raises(RuntimeError, match=f"failed on the {failing}"):
+        backward(loss)
+    assert helper_jobs == ["walker"] and helper_jobs.all_done()  # nothing queued
+    assert x.grad is None and y.grad is None and loss.grad is None
+    assert c.grad.tobytes() == before.tobytes()
+    assert T._state.walk is None and T._state.shares
+
+
+def _within(seconds, fn):
+    """``fn()``, run on a thread of its own that must finish within ``seconds``."""
+    out = []
+    runner = threading.Thread(target=lambda: out.append(fn()), daemon=True)
+    runner.start()
+    runner.join(seconds)
+    assert not runner.is_alive(), "backward did not finish"
+    assert out, "fn raised"
+    return out[0]
+
+
+def test_backward_on_the_helper_or_in_a_share_walks_alone(monkeypatch, helper_jobs):
+    # the helper never waits for the helper: a walk there, or on a thread that
+    # is draining a share, takes no second walker
+    x, w, g, stride, pad = _three_chunk_case("3x3-s1-p1", np.float64, monkeypatch)
+
+    def run(_=None):
+        return _conv_run(x, w, g, stride, pad)[1:]
+
+    want = run()
+    del helper_jobs[:]
+    on_helper = _within(30, lambda: T._helper.submit(run).result())
+    in_share = _within(30, lambda: T._split_map(run, [0, 1, 2]))
+    assert helper_jobs[0] == "run" and len(helper_jobs) == 2  # no walker from inside either
+    for got in [on_helper] + in_share:
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want, strict=True))
 
 
 def test_split_map_returns_results_in_item_order(helper_jobs):
@@ -504,6 +614,18 @@ def test_a_nested_split_map_runs_inline(helper_jobs):
     assert T._state.shares
 
 
+def test_split_map_raises_the_error_a_serial_loop_would(helper_jobs):
+    # the helper takes item 0 and fails late; this thread fails item 1 at once
+    def fail(i):
+        time.sleep(0.05 * (i == 0))
+        raise RuntimeError(f"item {i} failed")
+
+    with pytest.raises(RuntimeError, match="item 0 failed"):
+        T._split_map(fail, [0, 1, 2])
+    assert helper_jobs[0][0] == 0 and helper_jobs.all_done()
+    assert T._state.shares
+
+
 def test_split_map_of_one_item_or_on_one_cpu_never_submits(monkeypatch, helper_jobs):
     assert T._split_map(str, [7]) == ["7"]
     assert T._split_map(str, []) == []
@@ -512,13 +634,13 @@ def test_split_map_of_one_item_or_on_one_cpu_never_submits(monkeypatch, helper_j
     assert helper_jobs == []
 
 
-def test_one_chunk_conv_shares_only_its_kernel_gradient_with_the_helper(helper_jobs):
+def test_one_chunk_conv_shares_only_its_backward_walk_with_the_helper(helper_jobs):
     rng = np.random.default_rng(1)
     # stride 2 folds the input gradient, stride 1 runs it as a transposed conv
     for stride in (1, 2):
         _conv_run(rng.normal(size=(4, 3, 8, 8)), rng.normal(size=(5, 3, 3, 3)),
                   rng.normal(size=(4, 5, 8 // stride, 8 // stride)), stride, 1)
-    assert helper_jobs == ["kernel_grads", "kernel_grads"]
+    assert helper_jobs == ["walker", "walker"]
 
 
 @pytest.mark.parametrize("failing", ["caller", "helper"])

@@ -172,11 +172,10 @@ class TestReproducibility:
 
         monkeypatch.setattr(T, "backward", backward)
         split = train(cfg, dataset, os.path.join(tmp_path, "split"))
-        # forward conv halves, and each conv's kernel gradient deferred to the
-        # helper; a walk submits no split job
-        assert any(isinstance(job, list) and job and isinstance(job[0], tuple)
-                   for job in helper_jobs)
-        assert walk_jobs and all(job == "kernel_grads" for job in walk_jobs)
+        # split jobs in the forward, and one second walker per backward; a walk
+        # submits no split job
+        assert any(isinstance(job, list) and job for job in helper_jobs)
+        assert walk_jobs and all(job == "walker" for job in walk_jobs)
         assert helper_jobs.all_done()
         assert Path(split.metrics_path).read_bytes() == Path(serial.metrics_path).read_bytes()
         for sub in ("best_dir", "final_dir"):
@@ -336,11 +335,13 @@ class TestSplitPass:
         assert helper_jobs[0][0] == rows[:8]  # the helper's items are chunks of rows
         assert all(isinstance(chunk, list) for chunk in helper_jobs[0])
         assert got[0].tobytes() == want[0].tobytes()
-        # the same forward on this thread, outside a share, does split its convs
+        # the same forward on this thread, outside a share, shares its gaze
+        # encoder with its image path, then its DD branch with its DE branch
         images, heatmaps, _ = _assemble(rows[:8], cache, model.dtype)
         with no_grad():
             logits, _ = model(images, heatmaps)
-        assert len(helper_jobs) > 1 and isinstance(helper_jobs[1][0], tuple)
+        assert len(helper_jobs) == 3 and callable(helper_jobs[1][0])
+        assert [item[2] for item in helper_jobs[2]] in (["DD"], ["DD", "DE"])
         assert logits.data.tobytes() == want[0][:8].tobytes()
 
     def test_every_forward_runs_on_this_thread_or_the_helper(self, dataset, tmp_path,
