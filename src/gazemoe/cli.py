@@ -17,10 +17,12 @@ import sys
 import traceback
 
 # One BLAS thread unless the user set one, before numpy loads OpenBLAS: the
-# helper thread already puts each conv's second half on the second core. A
-# one-epoch quickstart train() took 1.89 s (median) with one BLAS thread and
-# 2.15 s with OpenBLAS's one per core; one thread won 11 of 12 alternating
-# process pairs on a 2-vCPU Xeon.
+# helper thread already keeps the second core busy (a hybrid block's second
+# branch, the gaze encoder, evaluation batches, the second backward walker).
+# Measured on 2026-10-20, when the helper also took half of each conv's
+# forward: a one-epoch quickstart train() took 1.89 s (median) with one BLAS
+# thread and 2.15 s with OpenBLAS's one per core; one thread won 11 of 12
+# alternating process pairs on a 2-vCPU Xeon.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 

@@ -49,10 +49,9 @@ import, starts the thread at the first submit and keeps it for the life
 of the process. ``_split_map`` shares a list of items with it and states
 the one rule that keeps at most two threads busy. The forward shares
 independent work: the gaze encoder beside the image stem, a hybrid
-block's DD and DE branches, and otherwise a conv's two halves of its
-forward GEMMs (BLAS releases the GIL); the evaluation pass shares its
-batches, whose forwards run inline. A ``backward`` walk makes the helper
-a second walker: both threads take nodes, and each conv's kernel
+block's DD and DE branches, and the evaluation pass's batches; a conv's
+forward runs on the thread that calls it. A ``backward`` walk makes the
+helper a second walker: both threads take nodes, and each conv's kernel
 gradient as a task of its own (``_defer``), from one ready list
 (``_Walk``).
 
@@ -651,13 +650,11 @@ def _chunk_samples(x: np.ndarray, kh: int, kw: int, oh: int, ow: int) -> int:
     return max(1, min(B, _PATCH_BYTES // (C * kh * kw * oh * ow * x.itemsize)))
 
 
-def _patch_chunks(x: np.ndarray, kh: int, kw: int, stride: int, pad: int, oh: int, ow: int,
-                  start: int, stop: int):
+def _patch_chunks(x: np.ndarray, kh: int, kw: int, stride: int, pad: int, oh: int, ow: int):
     """Yield ``(b0, cols)``: the patch matrix of ``x[b0:b0+n]`` as [C*kh*kw, n, oh*ow].
 
-    The chunks cover samples [start, stop) at the whole batch's chunk size
-    ``nb``, from ``b0 = start``; ``start`` is a multiple of ``nb``, so they
-    are the serial loop's chunks. Row ``(c*kh + i)*kw + j`` holds
+    The chunks cover the batch in order, ``nb`` samples each (the last may
+    hold fewer), from ``b0 = 0``. Row ``(c*kh + i)*kw + j`` holds
     ``xp[c, b, i + stride*y, j + stride*x]`` over the chunk's output
     positions ``(b, y, x)``, ``xp`` being the chunk zero-padded
     channel-major: one gather copy through a strided view, after one copy
@@ -665,19 +662,18 @@ def _patch_chunks(x: np.ndarray, kh: int, kw: int, stride: int, pad: int, oh: in
     is gathered into the same buffer of about ``_PATCH_BYTES``, so a yielded
     ``cols`` is valid only until the next one.
     """
-    _, C, H, W = x.shape
+    B, C, H, W = x.shape
     nb = _chunk_samples(x, kh, kw, oh, ow)
-    m = min(nb, stop - start)  # the most samples one chunk of the range holds
     # the border is never written; samples past a partial chunk's n are stale but never read
-    xp = np.zeros((C, m, H + 2 * pad, W + 2 * pad), x.dtype) if pad else x.transpose(1, 0, 2, 3)
+    xp = np.zeros((C, nb, H + 2 * pad, W + 2 * pad), x.dtype) if pad else x.transpose(1, 0, 2, 3)
     sc, sb, sh, sw = xp.strides
     # in bounds: (oh-1)*stride <= H+2*pad-kh by oh's definition, and the same for the width
     view = np.lib.stride_tricks.as_strided(
         xp, (C, kh, kw, xp.shape[1], oh, ow), (sc, sh, sw, sb, stride * sh, stride * sw),
         writeable=False)
-    buf = np.empty((C, kh, kw, m, oh, ow), dtype=x.dtype)
-    for b0 in range(start, stop, nb):
-        n = min(nb, stop - b0)
+    buf = np.empty((C, kh, kw, nb, oh, ow), dtype=x.dtype)
+    for b0 in range(0, B, nb):
+        n = min(nb, B - b0)
         cols = buf[:, :, :, :n]
         if pad:
             xp[:, :n, pad : pad + H, pad : pad + W] = x[b0 : b0 + n].transpose(1, 0, 2, 3)
@@ -755,22 +751,14 @@ def _defer(fn: Callable[[], np.ndarray]):
     return walk.post(i, fn)
 
 
-def _chunk_halves(x: np.ndarray, kh: int, kw: int, oh: int, ow: int) -> list[tuple[int, int]]:
-    """A conv's samples as one range, or as two split at the middle patch-chunk boundary."""
-    B, nb = len(x), _chunk_samples(x, kh, kw, oh, ow)
-    mid = (-(-B // nb) + 1) // 2 * nb  # the first half takes the odd chunk
-    return [(0, B)] if mid >= B else [(0, mid), (mid, B)]
-
-
 def _conv_forward(x: np.ndarray, w: np.ndarray, stride: int, pad: int,
                   bias: np.ndarray | None = None, residual: np.ndarray | None = None,
                   relu: bool = False) -> np.ndarray:
     """Cross-correlate [B,C,H,W] with [O,C,kh,kw] -> contiguous [B,O,H',W'].
 
-    Each chunk's GEMM writes its samples' rows of the output directly, the
-    chunks in two halves shared with the helper (``_split_map``); the
-    epilogue (``+ bias``, ``+ residual``, then relu) then runs once, on this
-    thread, in place on the whole output.
+    Each chunk's GEMM writes its samples' rows of the output directly; the
+    epilogue (``+ bias``, ``+ residual``, then relu) then runs once, in
+    place on the whole output.
     """
     B, _, H, W = x.shape
     O, _, kh, kw = w.shape
@@ -779,12 +767,8 @@ def _conv_forward(x: np.ndarray, w: np.ndarray, stride: int, pad: int,
     wmat = w.reshape(O, -1)  # [O, CK]
     extra = [a for a in (bias, residual) if a is not None]
     out = np.empty((B, O, oh * ow), dtype=np.result_type(x, w, *extra))
-
-    def gemm_rows(span):
-        for b0, cols in _patch_chunks(x, kh, kw, stride, pad, oh, ow, *span):
-            np.matmul(wmat, cols.transpose(1, 0, 2), out=out[b0 : b0 + cols.shape[1]])
-
-    _split_map(gemm_rows, _chunk_halves(x, kh, kw, oh, ow))
+    for b0, cols in _patch_chunks(x, kh, kw, stride, pad, oh, ow):
+        np.matmul(wmat, cols.transpose(1, 0, 2), out=out[b0 : b0 + cols.shape[1]])
     if bias is not None:
         out += bias[:, None]
     if residual is not None:
@@ -863,15 +847,12 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0, bias: Tensor | N
     otherwise each chunk's ``w.T @ g`` is folded into it with one slice-add
     per kernel offset.
 
-    The forward GEMMs share their chunks with the helper thread as two
-    halves split at a chunk boundary (``_split_map``). Inside ``backward``
-    a leaf ``w``'s kernel gradient is one deferred task (``_defer``) that
-    either walker may run while the rule's thread computes the bias and
-    input gradients and walks on. A non-leaf ``w``'s runs in the rule, as
-    ``w``'s own rule needs it. The bits match one thread's: each chunk and
-    its BLAS calls are the same, the halves write disjoint samples, the
-    kernel-gradient loop runs the chunks in order on one thread, and the
-    epilogue and relu mask run once, on the whole array.
+    The forward runs on the calling thread. Inside ``backward`` a leaf
+    ``w``'s kernel gradient is one deferred task (``_defer``) that either
+    walker may run while the rule's thread computes the bias and input
+    gradients and walks on. A non-leaf ``w``'s runs in the rule, as ``w``'s
+    own rule needs it. The bits match one thread's: the kernel-gradient
+    loop runs the same chunks and BLAS calls in order on one thread.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise DimensionError(f"conv2d expects 4-d input and kernel, got {x.shape} and {w.shape}")
@@ -906,7 +887,7 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0, bias: Tensor | N
         def kernel_grads():
             """The kernel gradient, ``g @ cols.T`` added chunk by chunk."""
             gw = np.zeros((O, C * kh * kw), dtype=np.result_type(g, x.data))
-            for b0, cols in _patch_chunks(x.data, kh, kw, stride, pad, oh, ow, 0, B):
+            for b0, cols in _patch_chunks(x.data, kh, kw, stride, pad, oh, ow):
                 gm = g[b0 : b0 + cols.shape[1]].transpose(1, 0, 2, 3).reshape(O, -1)  # [O, n*L]
                 gw += gm @ cols.reshape(C * kh * kw, -1).T
             return gw.reshape(w.shape)

@@ -167,20 +167,11 @@ def test_patch_chunks_match_slice_copy_oracle_bitwise(geometry, dtype, monkeypat
     for p in sorted({0, pad}):
         ph, pw = (H + 2 * p - kh) // stride + 1, (W + 2 * p - kw) // stride + 1
         want = list(oracles.patch_chunks_oracle(x, kh, kw, stride, p, ph, pw, patch_bytes))
-        # the whole batch, a split conv's two halves and the range from the second chunk
-        starts = [b0 for b0, _ in want]
-        ranges = [(0, 5)]
-        if len(starts) > 1:
-            mid = starts[(len(starts) + 1) // 2]
-            ranges += [(0, mid), (mid, 5), (starts[1], 5)]
-        for start, stop in ranges:
-            got = [(b0, cols.copy()) for b0, cols
-                   in T._patch_chunks(x, kh, kw, stride, p, ph, pw, start, stop)]
-            chunks = [(b0, w) for b0, w in want if start <= b0 < stop]
-            assert [b0 for b0, _ in got] == [b0 for b0, _ in chunks]
-            for (_, g), (_, w) in zip(got, chunks):
-                assert g.dtype == dtype
-                assert np.array_equal(g, w), (geometry, p, start)
+        got = [(b0, cols.copy()) for b0, cols in T._patch_chunks(x, kh, kw, stride, p, ph, pw)]
+        assert [b0 for b0, _ in got] == [b0 for b0, _ in want]
+        for (_, g), (_, w) in zip(got, want):
+            assert g.dtype == dtype
+            assert np.array_equal(g, w), (geometry, p)
 
 
 def test_conv2d_float32_stays_float32():
@@ -322,7 +313,7 @@ def test_conv2d_epilogue_rejects_bad_bias_and_residual_shapes():
             T.conv2d(x, w, pad=pad, residual=Tensor(np.zeros(residual)))
 
 
-# -- conv2d over two threads ------------------------------------------------
+# -- conv2d and the helper thread ------------------------------------------
 
 
 def _conv_run(x, w, g, stride, pad, b=None):
@@ -346,48 +337,31 @@ def _three_chunk_case(geometry, dtype, monkeypatch, seed=0):
             rng.normal(size=(B, O, oh, ow)).astype(dtype), stride, pad)
 
 
+# the conv's work split over two threads is its backward walk: the forward
+# runs on the calling thread, and the helper joins the walk as a second walker
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("geometry", list(CONV_GEOMETRIES))
 def test_conv2d_split_over_the_helper_matches_serial_bitwise(geometry, dtype, monkeypatch,
                                                              helper_jobs):
     x, w, g, stride, pad = _three_chunk_case(geometry, dtype, monkeypatch)
     b = np.random.default_rng(len(geometry)).normal(size=w.shape[0]).astype(dtype)
-    with monkeypatch.context() as one_cpu:
-        one_cpu.setattr(T, "usable_cpus", lambda: 1)
-        serial = _conv_run(x, w, g, stride, pad, b)
-    assert helper_jobs == []
-    split = _conv_run(x, w, g, stride, pad, b)
-    # the forward shares the halves (0, 4) and (4, 5), the helper taking (0, 4)
-    # first; the backward hands the helper one job, its second walker
-    assert len(helper_jobs) == 2 and helper_jobs[0][0] == (0, 4)
-    assert helper_jobs[1] == "walker"
-    assert helper_jobs.all_done()
-    for got, want in zip(split, serial, strict=True):
-        assert got.dtype == dtype
-        assert got.tobytes() == want.tobytes()
-
-
-# 3x3-s1-p1 takes the transposed-dx conv, 2-1 the strided fold
-@pytest.mark.parametrize("geometry", ["3x3-s1-p1", "2-1"])
-def test_a_backward_walk_hands_the_helper_one_walker_and_no_split_job(geometry, monkeypatch,
-                                                                      helper_jobs):
-    x, w, g, stride, pad = _three_chunk_case(geometry, np.float64, monkeypatch)
-    b = np.random.default_rng(1).normal(size=w.shape[0])
 
     def run():
         xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
         out = T.conv2d(xt, wt, stride=stride, pad=pad, bias=bt)
-        del helper_jobs[:]
+        assert helper_jobs == []  # the forward submits nothing
         backward((out * Tensor(g)).sum())
         return out.data, xt.grad, wt.grad, bt.grad
 
     with monkeypatch.context() as one_cpu:
         one_cpu.setattr(T, "usable_cpus", lambda: 1)
         serial = run()
+    assert helper_jobs == []
     split = run()
     # the input gradient's conv runs inline on whichever walker runs the rule
     assert helper_jobs == ["walker"] and helper_jobs.all_done()
     for got, want in zip(split, serial, strict=True):
+        assert got.dtype == dtype
         assert got.tobytes() == want.tobytes()
 
 
@@ -413,9 +387,8 @@ def test_a_non_leaf_conv_weight_gets_the_serial_gradient_bytes(weight, monkeypat
         one_cpu.setattr(T, "usable_cpus", lambda: 1)
         serial = run()
     split = run()
-    # the forward still shares its halves with the helper, and the walk its items
-    assert len(helper_jobs) == 2 and isinstance(helper_jobs[0], list)
-    assert helper_jobs[1] == "walker" and helper_jobs.all_done()
+    # the forward submits nothing, and the walk hands the helper its second walker
+    assert helper_jobs == ["walker"] and helper_jobs.all_done()
     assert posted == []
     for got, want in zip(split, serial, strict=True):
         assert got.tobytes() == want.tobytes()
@@ -475,7 +448,7 @@ def test_a_rule_that_raises_mid_walk_waits_for_the_forked_tasks(monkeypatch, hel
     xt._backward = fail  # ranked after the conv's kernel-gradient task
     with pytest.raises(RuntimeError, match="rule failed"):
         backward((out * Tensor(g)).sum())
-    assert helper_jobs[0][0] == (0, 4) and helper_jobs[1] == "walker"
+    assert helper_jobs == ["walker"]
     assert helper_jobs.all_done() and len(finished) == 1
     assert x0.grad is None and wt.grad is None
 
@@ -634,47 +607,16 @@ def test_split_map_of_one_item_or_on_one_cpu_never_submits(monkeypatch, helper_j
     assert helper_jobs == []
 
 
-def test_one_chunk_conv_shares_only_its_backward_walk_with_the_helper(helper_jobs):
+def test_one_chunk_conv_shares_only_its_backward_walk_with_the_helper(monkeypatch, helper_jobs):
     rng = np.random.default_rng(1)
-    # stride 2 folds the input gradient, stride 1 runs it as a transposed conv
-    for stride in (1, 2):
-        _conv_run(rng.normal(size=(4, 3, 8, 8)), rng.normal(size=(5, 3, 3, 3)),
-                  rng.normal(size=(4, 5, 8 // stride, 8 // stride)), stride, 1)
-    assert helper_jobs == ["walker", "walker"]
-
-
-@pytest.mark.parametrize("failing", ["caller", "helper"])
-def test_an_error_in_either_half_propagates_once_both_halves_finish(failing, monkeypatch,
-                                                                     helper_jobs):
-    x, w, g, stride, pad = _three_chunk_case("3x3-s1-p1", np.float64, monkeypatch)
-    xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
-    real = T._patch_chunks
-    caller = threading.current_thread()
-    finished = []
-
-    def chunks(x, kh, kw, stride, pad, oh, ow, start, stop):
-        # the helper takes the half (0, 4) first, the caller then takes (4, 5)
-        if (threading.current_thread() is caller) == (failing == "caller"):
-            raise RuntimeError(f"chunk failed on the {failing}")
-        for chunk in real(x, kh, kw, stride, pad, oh, ow, start, stop):
-            time.sleep(0.05)  # still running when the other thread fails
-            yield chunk
-        finished.append(start)
-
-    monkeypatch.setattr(T, "_patch_chunks", chunks)
-    with pytest.raises(RuntimeError, match=f"failed on the {failing}"):
-        T.conv2d(xt, wt, stride=stride, pad=pad)
-    assert helper_jobs == [[(0, 4)]]
-    assert finished == ([0] if failing == "caller" else [4])
-    monkeypatch.setattr(T, "_patch_chunks", real)
-    # the caller's next conv shares again, with the serial bits
-    assert T._state.shares
-    with monkeypatch.context() as one_cpu:
-        one_cpu.setattr(T, "usable_cpus", lambda: 1)
-        want = _conv_run(x, w, g, stride, pad)
-    got = _conv_run(x, w, g, stride, pad)
-    assert len(helper_jobs) >= 3
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+    # one patch chunk, then one sample per chunk; stride 2 folds the input
+    # gradient, stride 1 runs it as a transposed conv
+    for patch_bytes in (1 << 20, 1):
+        monkeypatch.setattr(T, "_PATCH_BYTES", patch_bytes)
+        for stride in (1, 2):
+            _conv_run(rng.normal(size=(4, 3, 8, 8)), rng.normal(size=(5, 3, 3, 3)),
+                      rng.normal(size=(4, 5, 8 // stride, 8 // stride)), stride, 1)
+    assert helper_jobs == ["walker"] * 4
 
 
 def test_two_threads_calling_conv2d_at_once_both_get_serial_results(monkeypatch,
@@ -705,7 +647,9 @@ def test_two_threads_calling_conv2d_at_once_both_get_serial_results(monkeypatch,
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert len(helper_jobs) >= 2 * 20 * 2
+    # the forwards submit nothing; each backward hands the helper one second
+    # walker, which joins the walk if the helper is free before it ends
+    assert helper_jobs == ["walker"] * (2 * 20)
     for runs, ref in zip(got, want):
         assert len(runs) == 20
         for run in runs:
@@ -718,20 +662,29 @@ def test_a_forked_child_starts_a_helper_of_its_own():
     # the parent's helper thread is not copied into a child; a child that used
     # the parent's pool object would wait for it forever
     code = textwrap.dedent("""
-        import os, warnings
-        import numpy as np
+        import os, signal, threading, warnings
         from gazemoe import tensor as T
 
         T.usable_cpus = lambda: 2
-        T._PATCH_BYTES = 1  # one sample per chunk
-        x, w = T.Tensor(np.ones((4, 2, 5, 5))), T.Tensor(np.ones((3, 2, 3, 3)))
-        want = T.conv2d(x, w, pad=1).data.tobytes()
+
+        def ran_on(_):
+            # each thread holds one of the two items, so each runs one
+            both.wait()
+            return threading.get_ident()
+
+        def helper_ran_one():  # a two-item _split_map ran one item off this thread
+            global both
+            both = threading.Barrier(2, timeout=10)
+            return len(set(T._split_map(ran_on, [0, 1])) - {threading.get_ident()}) == 1
+
+        assert helper_ran_one()  # the parent's helper thread has started
         parent_pool = T._helper
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads
             pid = os.fork()
         if pid == 0:
-            ok = T._helper is not parent_pool and T.conv2d(x, w, pad=1).data.tobytes() == want
+            signal.alarm(30)  # a hung child dies, rather than outlive the test
+            ok = T._helper is not parent_pool and helper_ran_one()
             os._exit(0 if ok else 1)
         print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
     """)

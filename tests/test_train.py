@@ -152,12 +152,16 @@ class TestReproducibility:
             b = open(os.path.join(res_b.final_dir, fname), "rb").read()
             assert a == b, fname
 
-    def test_split_convs_write_the_serial_bytes(self, dataset, tmp_path, monkeypatch,
-                                                 helper_jobs):
-        # gate 8 under threads: small patch chunks split every training conv over
-        # the helper thread, and the run's files are those of a one-thread run
+    # the hybrid model shares its gaze encoder and its DD/DE branches; the
+    # baseline model's training forward shares nothing and runs on this thread
+    @pytest.mark.parametrize("model_overrides", [{}, {"hybrid_positions": ()}],
+                             ids=["hybrid", "baseline"])
+    def test_a_two_cpu_run_writes_the_one_cpu_bytes(self, model_overrides, dataset, tmp_path,
+                                                    monkeypatch, helper_jobs):
+        # gate 8 under threads: with small patch chunks every training conv
+        # takes several, and the run's files are those of a one-CPU run
         monkeypatch.setattr(T, "_PATCH_BYTES", 1 << 15)
-        cfg = make_config(epochs=2)
+        cfg = make_config(epochs=2, model_overrides=model_overrides)
         with monkeypatch.context() as one_cpu:
             one_cpu.setattr(T, "usable_cpus", lambda: 1)
             serial = train(cfg, dataset, os.path.join(tmp_path, "serial"))
@@ -172,7 +176,8 @@ class TestReproducibility:
 
         monkeypatch.setattr(T, "backward", backward)
         split = train(cfg, dataset, os.path.join(tmp_path, "split"))
-        # split jobs in the forward, and one second walker per backward; a walk
+        # split jobs outside the walks (the evaluation pass's batches, and the
+        # hybrid model's forward), and one second walker per backward; a walk
         # submits no split job
         assert any(isinstance(job, list) and job for job in helper_jobs)
         assert walk_jobs and all(job == "walker" for job in walk_jobs)
@@ -321,7 +326,8 @@ class TestSplitPass:
 
     def test_split_pass_submits_one_job_and_its_convs_none(self, run, dataset, monkeypatch,
                                                            helper_jobs):
-        # the deadlock guard: a conv inside a shared chunk runs inline on
+        # the deadlock guard: the model's own shares (the gaze encoder beside
+        # the image path, DD beside DE) run inline inside a shared chunk, on
         # either thread, so nothing on the helper waits for the helper
         _, res = run
         model, cfg = load_model(res.final_dir)
