@@ -337,14 +337,31 @@ def _three_chunk_case(geometry, dtype, monkeypatch, seed=0):
             rng.normal(size=(B, O, oh, ow)).astype(dtype), stride, pad)
 
 
-# the conv's work split over two threads is its backward walk: the forward
-# runs on the calling thread, and the helper joins the walk as a second walker
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("geometry", list(CONV_GEOMETRIES))
 def test_conv2d_split_over_the_helper_matches_serial_bitwise(geometry, dtype, monkeypatch,
                                                              helper_jobs):
     x, w, g, stride, pad = _three_chunk_case(geometry, dtype, monkeypatch)
     b = np.random.default_rng(len(geometry)).normal(size=w.shape[0]).astype(dtype)
+    with monkeypatch.context() as one_cpu:
+        one_cpu.setattr(T, "usable_cpus", lambda: 1)
+        serial = _conv_run(x, w, g, stride, pad, b)
+    assert helper_jobs == []
+    split = _conv_run(x, w, g, stride, pad, b)
+    # the forward runs on the calling thread; the backward hands the helper
+    # one job, its second walker
+    assert helper_jobs == ["walker"] and helper_jobs.all_done()
+    for got, want in zip(split, serial, strict=True):
+        assert got.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+
+
+# 3x3-s1-p1 takes the transposed-dx conv, 2-1 the strided fold
+@pytest.mark.parametrize("geometry", ["3x3-s1-p1", "2-1"])
+def test_a_backward_walk_hands_the_helper_one_walker_and_no_split_job(geometry, monkeypatch,
+                                                                      helper_jobs):
+    x, w, g, stride, pad = _three_chunk_case(geometry, np.float64, monkeypatch)
+    b = np.random.default_rng(1).normal(size=w.shape[0])
 
     def run():
         xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
@@ -356,12 +373,10 @@ def test_conv2d_split_over_the_helper_matches_serial_bitwise(geometry, dtype, mo
     with monkeypatch.context() as one_cpu:
         one_cpu.setattr(T, "usable_cpus", lambda: 1)
         serial = run()
-    assert helper_jobs == []
     split = run()
     # the input gradient's conv runs inline on whichever walker runs the rule
     assert helper_jobs == ["walker"] and helper_jobs.all_done()
     for got, want in zip(split, serial, strict=True):
-        assert got.dtype == dtype
         assert got.tobytes() == want.tobytes()
 
 
