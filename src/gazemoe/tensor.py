@@ -46,14 +46,14 @@ gradient.
 
 The program's one second thread is a helper: its pool is built at
 import, starts the thread at the first submit and keeps it for the life
-of the process. ``_split_map`` shares a list of items with it and states
-the one rule that keeps at most two threads busy. The forward shares
-independent work: the gaze encoder beside the image stem, a hybrid
-block's DD and DE branches, and the evaluation pass's batches; a conv's
-forward runs on the thread that calls it. A ``backward`` walk makes the
-helper a second walker: both threads take nodes, and each conv's kernel
-gradient as a task of its own (``_defer``), from one ready list
-(``_Walk``).
+of the process. ``_on_both`` alone decides when a thread shares work with
+it, by the one rule that keeps at most two threads busy. ``_split_map``
+shares a list of items through it: the gaze encoder beside the image
+stem, a hybrid block's DD and DE branches, and the evaluation pass's
+batches; a conv's forward runs on the thread that calls it. A
+``backward`` walk makes the helper a second walker: both threads take
+items from one ready list (``_Walk``), nodes and the gradients that rules
+return as functions (a conv's input and kernel gradients) alike.
 
 ``conv2d`` also takes an optional epilogue: after the GEMMs it adds the
 bias, then the residual, then applies relu, in place on the whole output.
@@ -105,7 +105,6 @@ _keep_freed_pages()
 class _ThreadState(threading.local):
     grad = True  # this thread records graphs
     shares = True  # this thread may share work with the helper
-    walk: tuple | None = None  # (walk, node index) while this thread runs a backward rule
 
 
 _state = _ThreadState()
@@ -173,9 +172,10 @@ class Tensor:
         self.data = arr if arr.flags.c_contiguous else np.ascontiguousarray(arr)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        # set by _make_op for non-leaf tensors
+        # set by _make_op for non-leaf tensors; the rule gives each input an
+        # array, a zero-argument function that returns one, or None
         self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[np.ndarray], Sequence[np.ndarray | None]] | None = None
+        self._backward: Callable[[np.ndarray], Sequence] | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -285,36 +285,31 @@ def backward(loss: Tensor) -> None:
     the nodes in reverse of that order. Here this thread and the helper
     both take work from one ready list (``_Walk``): a node is ready once
     every node that consumes it has run, and the ready node latest in the
-    serial order goes first, each deferred kernel gradient (``_defer``)
-    right after its own node. A node's adjoint adds its consumers'
-    gradients in the serial walk's order and association, each as soon
-    as every one before it is in, so the sums are the serial walk's bit
-    for bit. Each gradient a rule returns for a leaf keeps its place in
-    the serial order and is added into the leaf's ``.grad`` after the
-    walk, in that order: one addition per input of each node, so a leaf
-    that is two inputs of one node gets two. With one usable CPU, on the
-    helper, or inside a share (see ``_split_map``) this thread walks
-    alone. This returns or raises only once both walkers have stopped;
-    the first error stops both, and then no ``.grad`` changes.
+    serial order goes first. A rule may return any input's gradient as a
+    zero-argument function; that function is an item of its own, ready
+    right after its node, and is never run if the input needs no
+    gradient. A node's adjoint adds its consumers' gradients in the
+    serial walk's order and association, each as soon as every one before
+    it is in, so the sums are the serial walk's bit for bit. Each
+    gradient a rule returns for a leaf keeps its place in the serial
+    order and is added into the leaf's ``.grad`` after the walk, in that
+    order: one addition per input of each node, so a leaf that is two
+    inputs of one node gets two. With one usable CPU, on the helper, or
+    inside a share (see ``_on_both``) this thread walks alone. This
+    returns or raises only once both walkers have stopped; the first
+    error stops both, and then no ``.grad`` changes.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
     if not loss.requires_grad:
         raise ContractError("loss does not require grad; nothing to differentiate")
     walk = _Walk(loss, _order(loss))
-    shares, _state.shares = _state.shares, False  # a rule's _split_map runs inline
-    helper = _helper.submit(walk.walker) if shares and usable_cpus() >= 2 else None
-    try:
-        walk.walker()
-    finally:
-        _state.shares = shares
-        if helper is not None:
-            futures.wait((helper,))
+    _on_both(walk.walker)
     if walk.error is not None:
         raise walk.error
     for leaf, g in zip(walk.leaves, walk.grads):
         if g is not None:
-            leaf.accumulate_grad(g.result() if isinstance(g, futures.Future) else g)
+            leaf.accumulate_grad(g)
 
 
 def _order(loss: Tensor) -> list[Tensor]:
@@ -389,15 +384,14 @@ class _Walk:
             self.targets[j] = targets
         self.grads: list = [seed] + [None] * (len(self.leaves) - 1)
         self.cond = threading.Condition()
-        # (-i, 0, adjoint) for node i, (-i, n, (fn, future)) for its n-th deferred task
+        # (-i, 0, adjoint) for node i, (-i, n, (fn, target)) for the n-th function queued
         self.ready: list = [(1 - len(nodes), 0, seed)] if nodes else []  # the loss
-        self.tasks = 0
-        self.left = len(nodes)  # nodes and tasks not yet run
+        self.queued = 0
+        self.left = len(nodes)  # nodes and functions not yet run
         self.error: BaseException | None = None
 
     def walker(self) -> None:
         """Run ready items, latest in serial order first, until none is left or one fails."""
-        prev = _state.walk
         try:
             while True:
                 with self.cond:
@@ -407,9 +401,8 @@ class _Walk:
                         return
                     rank, n, item = heapq.heappop(self.ready)
                 if n:
-                    item[1].set_result(item[0]())  # (fn, future)
+                    self._give(item[1], item[0]())  # (fn, target)
                 else:
-                    _state.walk = (self, -rank)
                     self._run(-rank, item)
                 del item
                 with self.cond:
@@ -421,21 +414,14 @@ class _Walk:
                 if self.error is None:
                     self.error = e
                 self.cond.notify_all()
-        finally:
-            _state.walk = prev
-
-    def post(self, i: int, fn: Callable[[], np.ndarray]) -> futures.Future:
-        """Queue ``fn``, a leaf's gradient for node ``i``'s rule, right after node ``i``."""
-        task = futures.Future()
-        with self.cond:
-            self.tasks += 1
-            self.left += 1
-            heapq.heappush(self.ready, (-i, self.tasks, (fn, task)))
-            self.cond.notify()
-        return task
 
     def _run(self, i: int, g: np.ndarray | None) -> None:
-        """Run node ``i``'s rule on its adjoint ``g`` and pass each gradient on."""
+        """Run node ``i``'s rule on its adjoint ``g`` and pass each gradient on.
+
+        A gradient the rule returns as a function is queued right after node
+        ``i``, to be run by whichever walker pops it; one for an input that
+        needs no gradient is dropped unrun.
+        """
         node, self.nodes[i] = self.nodes[i], None
         # unhook the node first: once its rule has run, nothing but the
         # caller's own names keeps its inputs or their saved arrays alive
@@ -450,11 +436,22 @@ class _Walk:
         for target, pg in zip(targets, itertools.chain(grads, itertools.repeat(None))):
             if target is None:
                 continue
-            p, k = target
-            if p is None:
-                self.grads[k] = pg
+            if not callable(pg):
+                self._give(target, pg)
             else:
-                self._add(p, k, pg)
+                with self.cond:
+                    self.queued += 1
+                    self.left += 1
+                    heapq.heappush(self.ready, (-i, self.queued, (pg, target)))
+                    self.cond.notify()
+
+    def _give(self, target: tuple, g: np.ndarray | None) -> None:
+        """Hand ``g`` to ``target``: a leaf's slot in ``grads``, or an op node's adjoint edge."""
+        p, k = target
+        if p is None:
+            self.grads[k] = g
+        else:
+            self._add(p, k, g)
 
     def _add(self, p: int, k: int, g: np.ndarray | None) -> None:
         """Give node ``p`` its edge-``k`` gradient; the node is ready once all are in."""
@@ -702,53 +699,46 @@ def _drain(fn: Callable, todo: Iterable[tuple[int, object]], results: list, fail
         _state.grad = prev
 
 
+def _on_both(job: Callable, *args) -> None:
+    """``job(*args)`` on this thread, and on the helper beside it if this thread may share.
+
+    A thread may share in a process that may use two CPUs, while its flag
+    is set. This thread clears its flag while ``job`` runs here, and the
+    helper's is always clear, so a share begun inside ``job`` on either
+    thread runs inline and nothing on the helper ever waits for the helper.
+    Both runs of ``job`` are done before this returns or raises.
+    """
+    helper = _helper.submit(job, *args) if _state.shares and usable_cpus() >= 2 else None
+    shares, _state.shares = _state.shares, False
+    try:
+        job(*args)
+    finally:
+        _state.shares = shares
+        if helper is not None:
+            futures.wait((helper,))
+    if helper is not None:
+        helper.result()
+
+
 def _split_map(fn: Callable, items: Sequence) -> list:
     """``[fn(item) for item in items]``, the items shared with the helper thread.
 
-    This thread and the helper each take the next untaken item until none
-    is left, each under this thread's grad mode (``no_grad`` here holds for
-    the helper's items too); results come back in item order. It shares
-    only with at least two items, in a process that may use two CPUs, on a
-    thread that may share: this thread clears its flag while it drains and
-    while it walks a ``backward`` graph, and the helper's is always clear,
-    so a nested call, or one from a backward rule, runs inline and nothing
-    on the helper ever waits for the helper. Both threads are done with the
-    items before this returns or raises. If items raise, the error of the
-    first of them in item order propagates: every item before it was taken
-    first and ran to the end, so it is the error a serial loop would raise.
+    With at least two items, this thread and the helper (see ``_on_both``)
+    each take the next untaken item until none is left, each under this
+    thread's grad mode (``no_grad`` here holds for the helper's items too);
+    results come back in item order. A nested call, or one from a
+    ``backward`` rule, runs inline. If items raise, the error of the first
+    of them in item order propagates: every item before it was taken first
+    and ran to the end, so it is the error a serial loop would raise.
     """
-    if len(items) < 2 or not _state.shares or usable_cpus() < 2:
+    if len(items) < 2:
         return [fn(item) for item in items]
     results = [None] * len(items)
     failed: list = []
-    todo = enumerate(items)
-    helper = _helper.submit(_drain, fn, todo, results, failed, _state.grad)
-    _state.shares = False
-    try:
-        _drain(fn, todo, results, failed, _state.grad)
-    finally:
-        _state.shares = True
-        futures.wait((helper,))
-    helper.result()
+    _on_both(_drain, fn, enumerate(items), results, failed, _state.grad)
     if failed:
         raise min(failed, key=lambda f: f[0])[1]
     return results
-
-
-def _defer(fn: Callable[[], np.ndarray]):
-    """``fn()``, a leaf's gradient, computed off the backward walk.
-
-    Inside a ``backward`` rule, ``fn`` is queued on the walk's ready list
-    right after the rule's own node, and the ``Future`` of its result comes
-    back; whichever walker is free runs it, and the walk adds the result
-    into the leaf's ``.grad`` after its last item. Anywhere else ``fn``
-    runs here, at once. Only a leaf's gradient may be deferred, so no rule
-    is handed a ``Future``.
-    """
-    if _state.walk is None:
-        return fn()
-    walk, i = _state.walk
-    return walk.post(i, fn)
 
 
 def _conv_forward(x: np.ndarray, w: np.ndarray, stride: int, pad: int,
@@ -789,8 +779,8 @@ def _conv_input_grad(g: np.ndarray, x: np.ndarray, w: np.ndarray, stride: int,
     the input (those that land in the padding add nothing to it). Each
     element gets the same additions in the same order as it would in a
     zero-padded buffer, so the bits are the same, without the padded buffer
-    or a copy out of it. Inside a ``backward`` walk both run on the thread
-    that runs the rule.
+    or a copy out of it. Inside a ``backward`` walk it runs on whichever
+    walker takes it from the ready list.
     """
     B, C, H, W = x.shape
     O, _, kh, kw = w.shape
@@ -847,12 +837,11 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0, bias: Tensor | N
     otherwise each chunk's ``w.T @ g`` is folded into it with one slice-add
     per kernel offset.
 
-    The forward runs on the calling thread. Inside ``backward`` a leaf
-    ``w``'s kernel gradient is one deferred task (``_defer``) that either
-    walker may run while the rule's thread computes the bias and input
-    gradients and walks on. A non-leaf ``w``'s runs in the rule, as ``w``'s
-    own rule needs it. The bits match one thread's: the kernel-gradient
-    loop runs the same chunks and BLAS calls in order on one thread.
+    The forward runs on the calling thread. The backward rule returns the
+    input and kernel gradients as functions, which the ``backward`` walk
+    queues side by side, so either walker may run each; one for an input
+    that needs no gradient never runs. The bits match one thread's: each
+    gradient runs its chunks and BLAS calls in order on one thread.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise DimensionError(f"conv2d expects 4-d input and kernel, got {x.shape} and {w.shape}")
@@ -892,11 +881,9 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0, bias: Tensor | N
                 gw += gm @ cols.reshape(C * kh * kw, -1).T
             return gw.reshape(w.shape)
 
-        grads = [None, _defer(kernel_grads) if w.is_leaf else kernel_grads()]
+        grads = [lambda: _conv_input_grad(g, x.data, w.data, stride, pad), kernel_grads]
         if bias is not None:
             grads.append(g.sum(axis=(0, 2, 3)))
-        if x.requires_grad:
-            grads[0] = _conv_input_grad(g, x.data, w.data, stride, pad)
         if residual is not None:
             grads.append(g)
         return grads

@@ -138,10 +138,12 @@ def composite_grad_oracle(theta, w):
 def serial_backward_oracle(loss):
     """``tensor.backward`` as one loop on one thread, the order its sums must keep.
 
-    Walks the graph's op nodes in reverse post-order. A node's adjoint adds its
-    consumers' gradients as they come (consumer by consumer, input by input), and
-    every leaf gradient is added into ``.grad`` after the loop, in the order the
-    loop produced it. Consumes the graph as ``backward`` does.
+    Walks the graph's op nodes in reverse post-order. A gradient a rule returns
+    as a function is computed in place, when the loop reaches it. A node's
+    adjoint adds its consumers' gradients as they come (consumer by consumer,
+    input by input), and every leaf gradient is added into ``.grad`` after the
+    loop, in the order the loop produced it. Consumes the graph as ``backward``
+    does.
     """
     from gazemoe import tensor as T
 
@@ -157,6 +159,8 @@ def serial_backward_oracle(loss):
         for parent, pg in zip(parents, back(g)):
             if pg is None or not parent.requires_grad:
                 continue
+            if callable(pg):
+                pg = pg()
             if parent.is_leaf:
                 queued.append((parent, pg))
             elif id(parent) in adjoint:

@@ -3,6 +3,7 @@ augmentation formula, subject-wise folds, class-uniform sampling, and
 the synthetic generator's layout/determinism/task contracts."""
 
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -143,14 +144,14 @@ class TestPgm:
     def test_exact_bytes_8bit(self, tmp_path):
         path = os.path.join(tmp_path, "t.pgm")
         write_pgm(path, np.array([[0.0, 1.0, 0.5]]), maxval=255)
-        blob = open(path, "rb").read()
+        blob = Path(path).read_bytes()
         # round(0.5 * 255) = round(127.5) -> 128 under round-half-to-even
         assert blob == b"P5\n3 1\n255\n" + bytes([0, 255, 128])
 
     def test_exact_bytes_16bit_big_endian(self, tmp_path):
         path = os.path.join(tmp_path, "t.pgm")
         write_pgm(path, np.array([[0.0, 1.0]]), maxval=65535)
-        blob = open(path, "rb").read()
+        blob = Path(path).read_bytes()
         assert blob == b"P5\n2 1\n65535\n" + b"\x00\x00\xff\xff"
 
     def test_read_back_8bit(self, tmp_path):
@@ -463,10 +464,10 @@ class TestGenerateSynthetic:
         spec = _tiny_spec(seed=12)
         path_a = generate_synthetic(spec, os.path.join(tmp_path, "a"))
         path_b = generate_synthetic(spec, os.path.join(tmp_path, "b"))
-        assert open(path_a, "rb").read() == open(path_b, "rb").read()
+        assert Path(path_a).read_bytes() == Path(path_b).read_bytes()
         for rel in ("images/subj000_000.pgm", "heatmaps/subj003_002.pgm"):
-            a = open(os.path.join(tmp_path, "a", rel), "rb").read()
-            b = open(os.path.join(tmp_path, "b", rel), "rb").read()
+            a = Path(tmp_path, "a", rel).read_bytes()
+            b = Path(tmp_path, "b", rel).read_bytes()
             assert a == b
 
     def test_different_seed_changes_pixels(self, tmp_path):

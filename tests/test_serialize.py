@@ -97,7 +97,8 @@ def test_read_rejects_truncated_file(tmp_path):
     serialize.save_checkpoint(tmp_path, [("w", Tensor(np.ones((2, 3)))),
                                          ("b", Tensor(np.ones(2, np.float32)))], "a=1\n")
     path = str(tmp_path / "checkpoint.dkt")
-    blob = open(path, "rb").read()
+    with open(path, "rb") as fh:
+        blob = fh.read()
     for size in range(len(blob)):
         _write_blob(tmp_path, blob[:size])
         with pytest.raises(FormatError) as err:

@@ -204,7 +204,8 @@ def test_conv2d_peak_memory_stays_near_input_size():
         fwd_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        out._backward(g)
+        # the rule hands back the input and kernel gradients as functions
+        dx, dw = (grad() for grad in out._backward(g))
         bwd_peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -224,6 +225,21 @@ def test_conv2d_input_without_grad_gets_none_and_same_kernel_grad():
         grads.append(wt.grad)
     assert xt.grad is None
     np.testing.assert_array_equal(grads[0], grads[1])
+
+
+def test_a_kernel_without_grad_gathers_no_patches_in_backward(monkeypatch, helper_jobs):
+    # stride 2 folds the input gradient without patches; only a kernel
+    # gradient would gather them, and this kernel needs none
+    x, w, g, stride, pad = _three_chunk_case("2-1", np.float64, monkeypatch)
+    want = _conv_run(x, w, g, stride, pad)[1]
+    xt = Tensor(x, requires_grad=True)
+    out = T.conv2d(xt, Tensor(w), stride=stride, pad=pad)
+    gathers = []
+    real = T._patch_chunks
+    monkeypatch.setattr(T, "_patch_chunks", lambda *args: gathers.append(args) or real(*args))
+    backward((out * Tensor(g)).sum())
+    assert gathers == []
+    assert xt.grad.tobytes() == want.tobytes()
 
 
 def test_conv2d_kernel_too_large():
@@ -380,21 +396,31 @@ def test_a_backward_walk_hands_the_helper_one_walker_and_no_split_job(geometry, 
         assert got.tobytes() == want.tobytes()
 
 
+def _wrap_kernel_grad(out, wrap):
+    """Make ``out``'s conv rule return ``wrap(fn)`` for its kernel-gradient function ``fn``."""
+    rule = out._backward
+
+    def back(g):
+        grads = rule(g)
+        grads[1] = wrap(grads[1])
+        return grads
+
+    out._backward = back
+
+
 @pytest.mark.parametrize("weight", ["reshape", "scale"])
 def test_a_non_leaf_conv_weight_gets_the_serial_gradient_bytes(weight, monkeypatch,
                                                                helper_jobs):
-    # the weight's own rule needs the kernel gradient during the walk, so the
-    # conv's rule computes it: a walk defers only leaves' gradients
+    # the kernel gradient is a queued item for a non-leaf weight too; the walk
+    # adds its result into the weight's adjoint, and the weight's rule runs after
     x, w, g, stride, pad = _three_chunk_case("2-1", np.float64, monkeypatch)
-    posted = []
-    real_post = T._Walk.post
-    monkeypatch.setattr(T._Walk, "post",
-                        lambda walk, i, fn: posted.append(fn) or real_post(walk, i, fn))
+    ran_on = []  # the thread that ran each queued kernel gradient
 
     def run():
         xt, wl = Tensor(x, requires_grad=True), Tensor(w.reshape(len(w), -1), requires_grad=True)
         wt = wl.reshape(w.shape) if weight == "reshape" else T.scale(wl, 0.5).reshape(w.shape)
         out = T.conv2d(xt, wt, stride=stride, pad=pad)
+        _wrap_kernel_grad(out, lambda fn: lambda: ran_on.append(threading.current_thread()) or fn())
         backward((out * Tensor(g)).sum())
         return out.data, xt.grad, wl.grad
 
@@ -404,19 +430,21 @@ def test_a_non_leaf_conv_weight_gets_the_serial_gradient_bytes(weight, monkeypat
     split = run()
     # the forward submits nothing, and the walk hands the helper its second walker
     assert helper_jobs == ["walker"] and helper_jobs.all_done()
-    assert posted == []
+    # once per run, by a walker; on one CPU this thread walks alone
+    assert len(ran_on) == 2 and ran_on[0] is threading.current_thread()
     for got, want in zip(split, serial, strict=True):
         assert got.tobytes() == want.tobytes()
 
 
-# only a leaf weight's kernel gradient is deferred, so only a leaf's task can fail
-@pytest.mark.parametrize("weight", ["leaf"])
+# a leaf's kernel gradient lands in ``grads``, a non-leaf's on an adjoint edge
+@pytest.mark.parametrize("weight", ["leaf", "scale"])
 def test_an_error_in_a_deferred_task_propagates_from_backward(weight, monkeypatch,
                                                               helper_jobs):
     x, w, g, stride, pad = _three_chunk_case("2-1", np.float64, monkeypatch)
     xt, wl = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
     bt = Tensor(np.ones(len(w)), requires_grad=True)
-    out = T.conv2d(xt, wl, stride=stride, pad=pad, bias=bt)
+    wt = wl if weight == "leaf" else T.scale(wl, 1.0)
+    out = T.conv2d(xt, wt, stride=stride, pad=pad, bias=bt)
     real = T._patch_chunks
 
     def chunks(*args):
@@ -430,7 +458,6 @@ def test_an_error_in_a_deferred_task_propagates_from_backward(weight, monkeypatc
         backward((out * Tensor(g)).sum())
     assert helper_jobs[-1] == "walker"
     assert helper_jobs.all_done()  # nothing queued or running on the helper
-    assert T._state.walk is None
     assert xt.grad is None and wl.grad is None and bt.grad is None  # no .grad changed
     monkeypatch.setattr(T, "_patch_chunks", real)
     with monkeypatch.context() as one_cpu:
@@ -444,22 +471,21 @@ def test_a_rule_that_raises_mid_walk_waits_for_the_forked_tasks(monkeypatch, hel
     x0, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
     xt = T.scale(x0, 1.0)
     out = T.conv2d(xt, wt, stride=stride, pad=pad)
-    real = T._defer
     finished = []
 
-    def defer(fn):
+    def slowly(fn):
         def slow():
             time.sleep(0.1)  # the kernel gradient is still running when the walk fails
             grad = fn()
             finished.append(threading.current_thread())
             return grad
 
-        return real(slow)
+        return slow
 
     def fail(g):
         raise RuntimeError("rule failed")
 
-    monkeypatch.setattr(T, "_defer", defer)
+    _wrap_kernel_grad(out, slowly)
     xt._backward = fail  # ranked after the conv's kernel-gradient task
     with pytest.raises(RuntimeError, match="rule failed"):
         backward((out * Tensor(g)).sum())
@@ -469,13 +495,17 @@ def test_a_rule_that_raises_mid_walk_waits_for_the_forked_tasks(monkeypatch, hel
 
 
 def _fan_out_grads(x0, w0, k0, walk=backward):
-    """The leaves' gradients of a graph where ``h`` feeds six ops, ``h * h`` among them,
-    and the leaves ``x`` and ``w`` get four and three gradients, ``x * x`` among them."""
+    """The leaves' gradients of a graph where ``h`` feeds seven ops, ``h * h`` among them,
+    the leaves ``x`` and ``w`` get four and three gradients, ``x * x`` among them, and
+    ``k`` is one conv's kernel and, scaled, another's."""
     x, w, k = (Tensor(a, requires_grad=True) for a in (x0, w0, k0))
     h = x @ w
-    conv = T.conv2d(h.reshape(4, 4, 8, 8), k, pad=1)  # a leaf kernel: a deferred task
+    conv = T.conv2d(h.reshape(4, 4, 8, 8), k, pad=1)  # a leaf kernel
+    # a non-leaf kernel: its queued gradient and ``ks * ks``'s two share one adjoint
+    ks = T.scale(k, 0.5)
+    conv_ks = T.conv2d(h.reshape(4, 4, 8, 8), ks, pad=1)
     parts = [h * h, T.relu(h) @ w, T.sigmoid(h) * x, T.softmax(h, axis=1) * h.sum(axis=0),
-             conv.reshape(16, 48) * 1e3, (x * x) @ w]
+             conv.reshape(16, 48) * 1e3, (x * x) @ w, conv_ks.reshape(16, 48), ks * ks]
     loss = parts[0].sum()
     for part in parts[1:]:
         loss = loss + part.sum()
@@ -542,7 +572,7 @@ def test_a_rule_that_raises_on_either_thread_changes_no_grad(failing, helper_job
     assert helper_jobs == ["walker"] and helper_jobs.all_done()  # nothing queued
     assert x.grad is None and y.grad is None and loss.grad is None
     assert c.grad.tobytes() == before.tobytes()
-    assert T._state.walk is None and T._state.shares
+    assert T._state.shares
 
 
 def _within(seconds, fn):

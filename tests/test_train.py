@@ -146,10 +146,10 @@ class TestReproducibility:
         cfg = make_config(epochs=2)
         res_a = train(cfg, dataset, os.path.join(tmp_path, "a"))
         res_b = train(cfg, dataset, os.path.join(tmp_path, "b"))
-        assert open(res_a.metrics_path, "rb").read() == open(res_b.metrics_path, "rb").read()
+        assert Path(res_a.metrics_path).read_bytes() == Path(res_b.metrics_path).read_bytes()
         for fname in sorted(os.listdir(res_a.final_dir)):
-            a = open(os.path.join(res_a.final_dir, fname), "rb").read()
-            b = open(os.path.join(res_b.final_dir, fname), "rb").read()
+            a = Path(res_a.final_dir, fname).read_bytes()
+            b = Path(res_b.final_dir, fname).read_bytes()
             assert a == b, fname
 
     # the hybrid model shares its gaze encoder and its DD/DE branches; the
@@ -191,7 +191,7 @@ class TestReproducibility:
     def test_seed_changes_the_run(self, dataset, tmp_path):
         res_a = train(make_config(epochs=1), dataset, os.path.join(tmp_path, "a"))
         res_b = train(make_config(epochs=1, seed=9), dataset, os.path.join(tmp_path, "b"))
-        assert open(res_a.metrics_path).read() != open(res_b.metrics_path).read()
+        assert Path(res_a.metrics_path).read_text() != Path(res_b.metrics_path).read_text()
 
 
 class TestCheckpoints:
@@ -378,16 +378,27 @@ class TestSplitPass:
         monkeypatch.setattr(T, "usable_cpus", lambda: 2)
         helper = T._helper.submit(threading.current_thread).result()
         seen = []  # (thread, live thread count) at each kernel-gradient task
-        real = T._defer
+        real = T.conv2d
 
-        def defer(fn):
-            def task():
-                seen.append((threading.current_thread(), threading.active_count()))
-                return fn()
+        def conv2d(*args, **kwargs):
+            out = real(*args, **kwargs)
+            rule = out._backward
+            if rule is None:  # the evaluation pass records no graph
+                return out
 
-            return real(task)
+            def back(g):
+                input_grad, kernel_grad, *rest = rule(g)
 
-        monkeypatch.setattr(T, "_defer", defer)
+                def task():
+                    seen.append((threading.current_thread(), threading.active_count()))
+                    return kernel_grad()
+
+                return [input_grad, task, *rest]
+
+            out._backward = back
+            return out
+
+        monkeypatch.setattr(T, "conv2d", conv2d)
         train(make_config(epochs=2), dataset, str(tmp_path))
         assert len(seen) > 2 * 2
         assert helper in {thread for thread, _ in seen}
