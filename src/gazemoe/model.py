@@ -4,11 +4,11 @@ encoder feeding those blocks, and a linear classification head.
 
 The gaze feature is computed once per forward and passed to every hybrid
 block, which adapts it through its own learned projection. Nothing on the
-image path needs it before the first hybrid block, so the gaze encoder and
-the image path up to that block run as two items of ``tensor._split_map``,
-side by side on the calling thread and the helper. A config with no
-hybrid positions degenerates to a plain residual network that never
-touches the heatmap (baseline mode).
+image path needs it before the first hybrid block, so the image path up to
+that block and the gaze encoder run as two items of ``tensor._split_map``,
+the longer first, side by side on the calling thread and the helper. A
+config with no hybrid positions degenerates to a plain residual network
+that never touches the heatmap (baseline mode).
 
 Precision is decided here and nowhere else: every layer is built in
 float64 from one seeded draw, then the network casts each parameter once
@@ -138,8 +138,9 @@ class HybridMoeNet(Module):
                     f"batch mismatch: {image.shape[0]} images, "
                     f"{heatmap.shape[0]} heatmaps"
                 )
-            x_exp, x = T._split_map(lambda path: path(),
-                                    [lambda: self.gaze_encoder(heatmap), image_path])
+            # the longer item first: a helper busy with another job takes the second
+            x, x_exp = T._split_map(lambda path: path(),
+                                    [image_path, lambda: self.gaze_encoder(heatmap)])
         records: list[RoutingRecord] = []
         for blk in self.blocks[first:]:
             if isinstance(blk, HybridMoeBlock):

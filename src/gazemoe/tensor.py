@@ -46,14 +46,19 @@ gradient.
 
 The program's one second thread is a helper: its pool is built at
 import, starts the thread at the first submit and keeps it for the life
-of the process. ``_on_both`` alone decides when a thread shares work with
-it, by the one rule that keeps at most two threads busy. ``_split_map``
-shares a list of items through it: the gaze encoder beside the image
-stem, a hybrid block's DD and DE branches, and the evaluation pass's
+of the process. ``_on_both`` and ``_on_helper`` alone decide when a
+thread hands it work, by the one rule that keeps at most two threads
+busy. ``_split_map``
+shares a list of items through it: the image stem beside the gaze
+encoder, a hybrid block's DD and DE branches, and the evaluation pass's
 batches; a conv's forward runs on the thread that calls it. A
 ``backward`` walk makes the helper a second walker: both threads take
 items from one ready list (``_Walk``), nodes and the gradients that rules
 return as functions (a conv's input and kernel gradients) alike.
+``_on_helper`` hands it one job while this thread goes on: training
+assembles its next batch there during the current step. A share whose
+helper run is still queued behind such a job once this thread has done
+the work cancels that run rather than wait.
 
 ``conv2d`` also takes an optional epilogue: after the GEMMs it adds the
 bias, then the residual, then applies relu, in place on the whole output.
@@ -295,8 +300,9 @@ def backward(loss: Tensor) -> None:
     order and is added into the leaf's ``.grad`` after the walk, in that
     order: one addition per input of each node, so a leaf that is two
     inputs of one node gets two. With one usable CPU, on the helper, or
-    inside a share (see ``_on_both``) this thread walks alone. This
-    returns or raises only once both walkers have stopped; the first
+    inside a share (see ``_on_both``) this thread walks alone; the helper
+    joins a walk once it is free of any earlier job. This
+    returns or raises only once no walker is left running; the first
     error stops both, and then no ``.grad`` changes.
     """
     if loss.data.size != 1:
@@ -706,7 +712,10 @@ def _on_both(job: Callable, *args) -> None:
     is set. This thread clears its flag while ``job`` runs here, and the
     helper's is always clear, so a share begun inside ``job`` on either
     thread runs inline and nothing on the helper ever waits for the helper.
-    Both runs of ``job`` are done before this returns or raises.
+    One run of ``job`` must finish the work alone: the helper's run is
+    cancelled if it is still queued (behind an ``_on_helper`` job) once this
+    thread's run is over, so a queued job never makes a share wait. The
+    helper's run is done or cancelled before this returns or raises.
     """
     helper = _helper.submit(job, *args) if _state.shares and usable_cpus() >= 2 else None
     shares, _state.shares = _state.shares, False
@@ -714,10 +723,29 @@ def _on_both(job: Callable, *args) -> None:
         job(*args)
     finally:
         _state.shares = shares
-        if helper is not None:
+        if helper is not None and not helper.cancel():
             futures.wait((helper,))
-    if helper is not None:
+    if helper is not None and not helper.cancelled():
         helper.result()
+
+
+def _on_helper(job: Callable, *args) -> futures.Future:
+    """``job(*args)`` on the helper, or on this thread now where ``_on_both`` would not share.
+
+    The job runs on the helper by ``_on_both``'s rule: in a process that
+    may use two CPUs, from a thread that may share. Otherwise (one usable
+    CPU, a call from the helper, or from inside a share) it runs inline
+    before this returns. Either way the returned future holds its result
+    or its error, to be raised where the caller takes the result.
+    """
+    if _state.shares and usable_cpus() >= 2:
+        return _helper.submit(job, *args)
+    done = futures.Future()
+    try:
+        done.set_result(job(*args))
+    except BaseException as e:
+        done.set_exception(e)
+    return done
 
 
 def _split_map(fn: Callable, items: Sequence) -> list:

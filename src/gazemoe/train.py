@@ -15,7 +15,11 @@ Reproducibility contract: a fixed TrainConfig and manifest produce
 byte-identical metrics CSVs and checkpoints. All randomness flows from
 ``config.seed`` through three independent child streams (fold shuffle,
 batch sampling, augmentation); metric floats are serialized with
-``repr`` so the CSV captures them exactly.
+``repr`` so the CSV captures them exactly. Each training step hands the
+next batch's draw and assembly to the tensor module's helper thread
+while it runs, one batch at a time, so the batch-sampling and
+augmentation streams are drawn in the same order as in a serial loop;
+an error raised there surfaces at the step that takes the batch.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+from concurrent import futures
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -280,22 +285,33 @@ def train(config: TrainConfig, manifest_path, out_dir) -> TrainResult:
     aug_rng = np.random.default_rng([config.seed, 2])
     steps_per_epoch = math.ceil(len(train_rows) / config.batch_size)
 
-    for epoch in range(1, config.epochs + 1):
-        opt.lr = step_lr(epoch - 1, config.lr, config.step_size, config.gamma)
-        for step in range(steps_per_epoch):
-            batch = next(batch_iter)
-            images, heatmaps, labels = _assemble(batch, cache, model.dtype,
-                                                 config.augment, aug_rng)
-            total, _, _ = objective(*model(images, heatmaps), labels,
-                                    config.lb_weight)
-            if not math.isfinite(total.item()):
-                raise NumericsError(
-                    f"non-finite loss {total.item()} at epoch {epoch}, step {step}"
-                )
-            opt.zero_grad()
-            T.backward(total)
-            opt.step()
-        train_rep, test_rep = log_epoch(epoch)
+    def next_batch():
+        """Draw the next training batch and assemble it, augmented."""
+        return _assemble(next(batch_iter), cache, model.dtype, config.augment, aug_rng)
+
+    # the first step assembles its own batch; each step hands the next one's
+    # to the helper, one at a time, so both streams are drawn in the serial order
+    pending = None
+    try:
+        for epoch in range(1, config.epochs + 1):
+            opt.lr = step_lr(epoch - 1, config.lr, config.step_size, config.gamma)
+            for step in range(steps_per_epoch):
+                images, heatmaps, labels = next_batch() if pending is None else pending.result()
+                last = epoch == config.epochs and step == steps_per_epoch - 1
+                pending = None if last else T._on_helper(next_batch)
+                total, _, _ = objective(*model(images, heatmaps), labels,
+                                        config.lb_weight)
+                if not math.isfinite(total.item()):
+                    raise NumericsError(
+                        f"non-finite loss {total.item()} at epoch {epoch}, step {step}"
+                    )
+                opt.zero_grad()
+                T.backward(total)
+                opt.step()
+            train_rep, test_rep = log_epoch(epoch)
+    finally:
+        if pending is not None:  # raising: wait out the batch in flight, dropping its result
+            futures.wait((pending,))
 
     final_dir = os.path.join(out_dir, FINAL_DIR)
     save_checkpoint(final_dir, model.named_parameters(), config_text)

@@ -9,6 +9,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 assert "numpy" not in sys.modules, "numpy was loaded before the BLAS thread count was set"
 
 import threading  # noqa: E402
+from concurrent import futures  # noqa: E402
 
 import pytest  # noqa: E402
 from hypothesis import HealthCheck, settings  # noqa: E402
@@ -26,9 +27,10 @@ settings.load_profile("default")
 class HelperJobs(list):
     """The helper's jobs in submit order, with the futures it was handed.
 
-    A ``_split_map`` job is the list of items the helper ran; any other job
-    is its function's name: ``"walker"`` for a ``backward`` pass's second
-    walker.
+    A ``_split_map`` job is the list of items the helper ran (empty when
+    the job was cancelled unstarted); any other job is its function's
+    name: ``"walker"`` for a ``backward`` pass's second walker,
+    ``"next_batch"`` for ``train``'s assembly of its next training batch.
     """
 
     def __init__(self):
@@ -45,9 +47,10 @@ def helper_jobs(monkeypatch):
     """Every job given to the helper thread, as a ``HelperJobs`` list.
 
     The process counts as having two CPUs, so work is shared on any machine.
-    A split job waits until the helper has taken its first item, so the
-    helper runs at least one item, always the first. A submit from the
-    helper thread itself fails at once instead of deadlocking.
+    A split job submitted while the helper is idle waits until the helper
+    has taken its first item, so the helper runs at least one item, always
+    the first; one queued behind an earlier job does not wait. A submit
+    from the helper thread itself fails at once instead of deadlocking.
     """
     monkeypatch.setattr(T, "usable_cpus", lambda: 2)
     pool = T._helper
@@ -71,10 +74,26 @@ def helper_jobs(monkeypatch):
                     took.set()
                     return item_fn(item)
 
+                idle = jobs.all_done()
                 job = pool.submit(fn, run, todo, *rest)
-                took.wait(10)
+                if idle:
+                    took.wait(10)
             jobs.futures.append(job)
             return job
 
     monkeypatch.setattr(T, "_helper", Spy())
     return jobs
+
+
+@pytest.fixture(autouse=True)
+def helper_left_idle():
+    """Fail a test that leaves a job queued or running on the helper thread.
+
+    After the test, a no-op submitted to the real helper pool must finish
+    within 10 s; a leaked job fails the test that leaked it, at teardown.
+    """
+    pool = T._helper
+    yield
+    noop = pool.submit(int)
+    assert not futures.wait((noop,), timeout=10).not_done, \
+        "the helper was still busy 10 s after the test"

@@ -644,6 +644,35 @@ def test_split_map_raises_the_error_a_serial_loop_would(helper_jobs):
     assert T._state.shares
 
 
+def test_a_share_queued_behind_a_busy_helper_runs_here_without_waiting(helper_jobs):
+    # this thread takes both items while the helper is busy, then cancels the
+    # helper's still-queued run rather than wait for the helper to get to it
+    release = threading.Event()
+    busy = T._helper.submit(release.wait, 10)
+    try:
+        got = T._split_map(lambda i: (i * i, threading.current_thread()), [3, 4])
+        assert not busy.done()
+    finally:
+        release.set()
+    assert busy.result()
+    assert got == [(9, threading.current_thread()), (16, threading.current_thread())]
+    assert helper_jobs == ["wait", []] and helper_jobs.all_done()  # the helper ran no item
+
+
+def test_on_helper_runs_inline_where_a_share_would_not(monkeypatch, helper_jobs):
+    here = threading.current_thread
+    assert T._on_helper(here).result() is not here()
+    # from the helper, and from this thread inside a share, the job runs inline
+    assert T._split_map(lambda _: T._on_helper(here).result() is here(), [0, 1]) == [True, True]
+    monkeypatch.setattr(T, "usable_cpus", lambda: 1)
+    ran = T._on_helper(here)
+    assert ran.done() and ran.result() is here()
+    failed = T._on_helper(int, "x")  # the error waits in the future
+    with pytest.raises(ValueError, match="invalid literal"):
+        failed.result()
+    assert helper_jobs[0] == "current_thread" and len(helper_jobs) == 2
+
+
 def test_split_map_of_one_item_or_on_one_cpu_never_submits(monkeypatch, helper_jobs):
     assert T._split_map(str, [7]) == ["7"]
     assert T._split_map(str, []) == []

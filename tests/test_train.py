@@ -7,6 +7,7 @@ import importlib
 import os
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -165,11 +166,13 @@ class TestReproducibility:
         with monkeypatch.context() as one_cpu:
             one_cpu.setattr(T, "usable_cpus", lambda: 1)
             serial = train(cfg, dataset, os.path.join(tmp_path, "serial"))
-        assert helper_jobs == []
+        assert helper_jobs == []  # the next batch too is assembled inline
         walk_jobs = []  # the jobs submitted while a backward walk runs
+        assemblies = []  # per training step, batch assemblies submitted before its walk
         real_backward = T.backward
 
         def backward(loss):
+            assemblies.append(helper_jobs.count("next_batch"))
             start = len(helper_jobs)
             real_backward(loss)
             walk_jobs.extend(helper_jobs[start:])
@@ -181,6 +184,10 @@ class TestReproducibility:
         # submits no split job
         assert any(isinstance(job, list) and job for job in helper_jobs)
         assert walk_jobs and all(job == "walker" for job in walk_jobs)
+        # step s hands batch s+1 to the helper before its walk; the first
+        # step assembles its own batch and the last hands on none
+        assert assemblies == [1, 2, 3, 3]
+        assert helper_jobs.count("next_batch") == len(assemblies) - 1
         assert helper_jobs.all_done()
         assert Path(split.metrics_path).read_bytes() == Path(serial.metrics_path).read_bytes()
         for sub in ("best_dir", "final_dir"):
@@ -534,6 +541,70 @@ class TestTrainingGuards:
         cfg = make_config(epochs=1, lr=1e200)
         with pytest.raises(NumericsError, match="non-finite loss .* at epoch 1"):
             train(cfg, dataset, str(tmp_path))
+
+    # batch 1 is assembled by its own step; batch 3, the first of epoch 2, on
+    # the helper during step 2, before epoch 1's rows are written
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_an_error_assembling_a_batch_ends_the_run_as_at_one_cpu(
+            self, batch, dataset, tmp_path, monkeypatch, helper_jobs):
+        train_module = importlib.import_module("gazemoe.train")
+        cfg = make_config(epochs=2)
+        calls = []
+
+        def failing_augment(*args):  # once per sample, 12 to a batch
+            calls.append(None)
+            if len(calls) == (batch - 1) * cfg.batch_size + 5:
+                raise ValueError(f"augment call {len(calls)} failed")
+            return augment(*args)
+
+        monkeypatch.setattr(train_module, "augment", failing_augment)
+        ends = []
+        for cpus in (1, 2):
+            calls.clear()
+            out = os.path.join(tmp_path, f"cpus{cpus}")
+            with monkeypatch.context() as m:
+                m.setattr(T, "usable_cpus", lambda: cpus)
+                with pytest.raises(ValueError) as raised:
+                    train(cfg, dataset, out)
+            ends.append((str(raised.value), Path(out, "metrics.csv").read_bytes()))
+        assert ends[0] == ends[1]
+        epochs = [r["epoch"] for r in _read_metrics(os.path.join(tmp_path, "cpus2", "metrics.csv"))]
+        assert epochs == (["0", "0"] if batch == 1 else ["0", "0", "1", "1"])
+        assert helper_jobs.count("next_batch") == batch - 1 and helper_jobs.all_done()
+
+    def test_a_divergence_waits_for_the_batch_in_flight(self, dataset, tmp_path, monkeypatch,
+                                                        helper_jobs):
+        # step 2 diverges while the helper is still assembling batch 3
+        train_module = importlib.import_module("gazemoe.train")
+        cfg = make_config(epochs=2)
+        started = threading.Event()
+        finished = []
+        draws = []
+        steps = []
+
+        def slow_augment(*args):
+            draws.append(None)
+            if len(draws) == 2 * cfg.batch_size + 1:  # batch 3's first sample
+                started.set()
+                time.sleep(0.2)
+                finished.append(None)
+            return augment(*args)
+
+        def diverging_objective(logits, *rest):
+            total, cls, lb = objective(logits, *rest)
+            if logits.requires_grad:  # a training step, not the evaluation pass
+                steps.append(None)
+                if len(steps) == 2:
+                    assert started.wait(10)
+                    total = T.scale(total, float("nan"))
+            return total, cls, lb
+
+        monkeypatch.setattr(train_module, "augment", slow_augment)
+        monkeypatch.setattr(train_module, "objective", diverging_objective)
+        with pytest.raises(NumericsError, match="at epoch 1, step 1"):
+            train(cfg, dataset, str(tmp_path))
+        assert finished and helper_jobs.all_done()
+        assert helper_jobs.count("next_batch") == 2
 
     def test_fold_out_of_range_rejected(self, dataset, tmp_path):
         with pytest.raises(ConfigError, match="fold"):
