@@ -18,7 +18,8 @@ import traceback
 
 # One BLAS thread unless the user set one, before numpy loads OpenBLAS: the
 # helper thread already keeps the second core busy (a hybrid block's second
-# branch, the gaze encoder, evaluation batches, the second backward walker).
+# branch, the gaze encoder, evaluation batches, the second backward walker,
+# the next training batch's assembly).
 # Measured on 2026-10-20, when the helper also took half of each conv's
 # forward: a one-epoch quickstart train() took 1.89 s (median) with one BLAS
 # thread and 2.15 s with OpenBLAS's one per core; one thread won 11 of 12

@@ -68,8 +68,9 @@ class Conv2d(Module):
     """3x3/1x1-style conv with bias, thin wrapper over the conv2d op.
 
     ``conv(x, residual=r, relu=True)`` is ``relu(conv(x) + b + r)`` as one
-    graph node: the op adds the bias, the residual and the relu to each
-    output chunk right after its GEMM.
+    graph node: once its GEMMs have filled the output, the op adds the
+    bias, then the residual, then applies the relu, in place on the whole
+    output.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,

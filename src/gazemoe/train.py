@@ -17,9 +17,10 @@ byte-identical metrics CSVs and checkpoints. All randomness flows from
 batch sampling, augmentation); metric floats are serialized with
 ``repr`` so the CSV captures them exactly. Each training step hands the
 next batch's draw and assembly to the tensor module's helper thread
-while it runs, one batch at a time, so the batch-sampling and
-augmentation streams are drawn in the same order as in a serial loop;
-an error raised there surfaces at the step that takes the batch.
+while it runs or, where ``tensor._on_helper`` takes no job (one usable
+CPU), leaves it to the next step; one batch at a time either way, so the
+batch-sampling and augmentation streams are drawn in a serial loop's
+order, and an error raised there surfaces at the step that takes it.
 """
 
 from __future__ import annotations
@@ -289,8 +290,8 @@ def train(config: TrainConfig, manifest_path, out_dir) -> TrainResult:
         """Draw the next training batch and assemble it, augmented."""
         return _assemble(next(batch_iter), cache, model.dtype, config.augment, aug_rng)
 
-    # the first step assembles its own batch; each step hands the next one's
-    # to the helper, one at a time, so both streams are drawn in the serial order
+    # each step hands the next batch to the helper, one at a time; the first
+    # step, and any whose batch the helper did not take, assemble their own
     pending = None
     try:
         for epoch in range(1, config.epochs + 1):

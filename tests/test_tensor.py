@@ -13,7 +13,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -575,6 +575,179 @@ def test_a_rule_that_raises_on_either_thread_changes_no_grad(failing, helper_job
     assert T._state.shares
 
 
+# -- random graphs against the serial walk ----------------------------------
+
+
+_NODE = (4, 2, 6, 6)  # the shape of every node of a random graph
+# by stride: a stride-2 conv's [4, 8, 3, 3] output is reshaped into a node
+_KERNEL = {1: (2, 2, 3, 3), 2: (8, 2, 3, 3)}
+
+
+@st.composite
+def random_graphs(draw):
+    """The recipe of a random backward graph, for ``_build_graph``.
+
+    Leaf nodes, the first needing a gradient and the others maybe not; four
+    conv kernels, two per stride, each maybe needing no gradient; then one
+    to seven ops, each ``(kind, inputs, params)`` over earlier nodes, so
+    fan-out is common and an op may read one node twice. The loss weights
+    every node no op reads, and up to two others, by constants.
+    """
+    count = draw(st.integers(1, 3))
+    leaves = [True] + draw(st.lists(st.booleans(), min_size=count - 1, max_size=count - 1))
+    kernels = draw(st.lists(st.booleans(), min_size=4, max_size=4))
+    ops = []
+    for _ in range(draw(st.integers(1, 7))):
+        node = st.integers(0, count - 1)
+        parts = st.lists(node, min_size=1, max_size=3)
+        kind = draw(st.sampled_from(["add", "mul", "relu", "scale", "conv", "take_rows",
+                                     "put_rows", "concat"]))
+        if kind in ("add", "mul"):
+            op = (kind, [draw(node), draw(node)], None)
+        elif kind == "relu":
+            op = (kind, [draw(node)], None)
+        elif kind == "scale":
+            op = (kind, [draw(node)], 10.0 ** draw(st.integers(-4, 4)))
+        elif kind == "conv":  # (stride, which kernel, kernel scaled into a non-leaf)
+            stride = draw(st.sampled_from([1, 2]))
+            residual = draw(st.lists(node, max_size=1)) if stride == 1 else []
+            op = (kind, [draw(node)] + residual,
+                  (stride, draw(st.integers(0, 1)), draw(st.booleans())))
+        elif kind == "take_rows":  # rows may repeat
+            op = (kind, [draw(node)], draw(st.lists(st.integers(0, 3), min_size=4, max_size=4)))
+        elif kind == "put_rows":  # blocks overlap on every row, summed in list order
+            blocks = draw(parts)
+            op = (kind, blocks, [draw(st.permutations(range(4))) for _ in blocks])
+        else:  # concat along the batch, then four of its rows
+            blocks = draw(parts)
+            op = (kind, blocks, draw(st.lists(st.integers(0, 4 * len(blocks) - 1),
+                                              min_size=4, max_size=4)))
+        ops.append(op)
+        count += 1
+    read = {i for _, inputs, _ in ops for i in inputs}
+    weighted = set(range(count)) - read | draw(st.sets(st.integers(0, count - 1), max_size=2))
+    return dict(leaves=leaves, kernels=kernels, ops=ops, loss=sorted(weighted),
+                seed=draw(st.integers(0, 2**32 - 1)))
+
+
+def _build_graph(graph):
+    """``(loss, leaves)`` of a ``random_graphs`` recipe; ``leaves`` lists nodes, then kernels.
+
+    Each value is drawn normal and scaled by its own power of ten in
+    10^-4..10^4, so a sum taken in another order shows in its bits.
+    """
+    rng = np.random.default_rng(graph["seed"])
+
+    def spread(shape):
+        return rng.normal(size=shape) * 10.0 ** rng.integers(-4, 5, shape)
+
+    nodes = [Tensor(spread(_NODE), requires_grad=needs) for needs in graph["leaves"]]
+    kernels = [Tensor(spread(_KERNEL[1 + i // 2]), requires_grad=needs)
+               for i, needs in enumerate(graph["kernels"])]
+    leaves = nodes + kernels
+    for kind, inputs, params in graph["ops"]:
+        x = nodes[inputs[0]]
+        if kind == "add":
+            out = x + nodes[inputs[1]]
+        elif kind == "mul":  # through a sigmoid, so products of products stay finite
+            out = x * T.sigmoid(nodes[inputs[1]])
+        elif kind == "relu":
+            out = T.relu(x)
+        elif kind == "scale":
+            out = T.scale(x, params)
+        elif kind == "conv":
+            stride, k, scaled = params
+            w = kernels[2 * (stride - 1) + k]
+            w = T.scale(w, 0.5) if scaled else w
+            if stride == 2:
+                out = T.conv2d(x, w, stride=2, pad=1).reshape(*_NODE)
+            elif len(inputs) == 2:
+                out = T.conv2d(x, w, pad=1, residual=nodes[inputs[1]], relu=True)
+            else:
+                out = T.conv2d(x, w, pad=1)
+        elif kind == "take_rows":
+            out = T.take_rows(x, np.array(params))
+        elif kind == "put_rows":
+            out = T.put_rows([nodes[i] for i in inputs], [np.array(p) for p in params], 4)
+        else:
+            out = T.take_rows(T.concat([nodes[i] for i in inputs], axis=0), np.array(params))
+        nodes.append(out)
+    loss = None
+    for i in graph["loss"]:
+        term = (nodes[i] * Tensor(rng.normal(size=_NODE))).sum()
+        loss = term if loss is None else loss + term
+    return loss, leaves
+
+
+def _grad_bytes(tensors):
+    return [None if t.grad is None else t.grad.tobytes() for t in tensors]
+
+
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(graph=random_graphs())
+def test_random_graphs_walk_to_the_serial_bytes(graph, monkeypatch, helper_jobs):
+    monkeypatch.setattr(T, "_PATCH_BYTES", 1)  # one sample per patch chunk
+
+    def grads(walk):
+        loss, leaves = _build_graph(graph)
+        walk(loss)
+        return _grad_bytes(leaves)
+
+    want = grads(oracles.serial_backward_oracle)
+    with monkeypatch.context() as one_cpu:
+        one_cpu.setattr(T, "usable_cpus", lambda: 1)
+        assert grads(backward) == want
+    walkers = helper_jobs.count("walker")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the GIL between the walkers at every chance
+    try:
+        assert grads(backward) == want
+    finally:
+        sys.setswitchinterval(interval)
+    assert helper_jobs.count("walker") == walkers + 1 and helper_jobs.all_done()
+
+
+class _Injected(Exception):
+    pass
+
+
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(graph=random_graphs(), data=st.data())
+def test_an_error_anywhere_in_a_random_walk_changes_no_grad(graph, data, monkeypatch,
+                                                            helper_jobs):
+    monkeypatch.setattr(T, "_PATCH_BYTES", 1)
+    cpus = data.draw(st.sampled_from([1, 2]), label="cpus")
+    monkeypatch.setattr(T, "usable_cpus", lambda: cpus)
+    loss, leaves = _build_graph(graph)
+    for i, leaf in enumerate(leaves):  # some gradients are in from an earlier walk
+        if leaf.requires_grad and i % 2:
+            leaf.grad = np.full(leaf.shape, 0.25)
+    before = _grad_bytes(leaves)
+    node = data.draw(st.sampled_from(T._order(loss)), label="failing node")
+    # a conv's rule returns its input and kernel gradients as functions: fail
+    # one of those that the walk runs, or else the rule itself
+    in_function = data.draw(st.booleans(), label="in a returned function")
+    which = data.draw(st.integers(0, 1), label="which function")
+    rule, parents = node._backward, node._parents
+
+    def fail():
+        raise _Injected
+
+    def failing_rule(g):
+        grads = list(rule(g))
+        run = [s for s, pg in enumerate(grads) if callable(pg) and parents[s].requires_grad]
+        if not (in_function and run):
+            raise _Injected
+        grads[run[which % len(run)]] = fail
+        return grads
+
+    node._backward = failing_rule
+    with pytest.raises(_Injected):
+        backward(loss)
+    assert _grad_bytes(leaves) == before and loss.grad is None
+    assert helper_jobs.all_done()
+
+
 def _within(seconds, fn):
     """``fn()``, run on a thread of its own that must finish within ``seconds``."""
     out = []
@@ -659,18 +832,24 @@ def test_a_share_queued_behind_a_busy_helper_runs_here_without_waiting(helper_jo
     assert helper_jobs == ["wait", []] and helper_jobs.all_done()  # the helper ran no item
 
 
-def test_on_helper_runs_inline_where_a_share_would_not(monkeypatch, helper_jobs):
-    here = threading.current_thread
-    assert T._on_helper(here).result() is not here()
-    # from the helper, and from this thread inside a share, the job runs inline
-    assert T._split_map(lambda _: T._on_helper(here).result() is here(), [0, 1]) == [True, True]
+def test_on_helper_runs_nothing_where_a_share_would_not(monkeypatch, helper_jobs):
+    ran = []
+
+    def job(n):
+        ran.append(threading.current_thread())
+        return n + 1
+
+    assert T._on_helper(job, 1).result() == 2
+    assert len(ran) == 1 and ran[0] is not threading.current_thread()
+    # from the helper, from either thread inside a share, and at one CPU,
+    # nothing is submitted and the job does not run
+    assert T._helper.submit(lambda: T._on_helper(job, 2)).result() is None
+    assert T._split_map(lambda n: T._on_helper(job, n), [3, 4]) == [None, None]
     monkeypatch.setattr(T, "usable_cpus", lambda: 1)
-    ran = T._on_helper(here)
-    assert ran.done() and ran.result() is here()
-    failed = T._on_helper(int, "x")  # the error waits in the future
-    with pytest.raises(ValueError, match="invalid literal"):
-        failed.result()
-    assert helper_jobs[0] == "current_thread" and len(helper_jobs) == 2
+    assert T._on_helper(job, 5) is None
+    assert len(ran) == 1
+    assert helper_jobs[:2] == ["job", "<lambda>"] and len(helper_jobs) == 3
+    assert helper_jobs.all_done()
 
 
 def test_split_map_of_one_item_or_on_one_cpu_never_submits(monkeypatch, helper_jobs):

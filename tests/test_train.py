@@ -154,19 +154,21 @@ class TestReproducibility:
             assert a == b, fname
 
     # the hybrid model shares its gaze encoder and its DD/DE branches; the
-    # baseline model's training forward shares nothing and runs on this thread
-    @pytest.mark.parametrize("model_overrides", [{}, {"hybrid_positions": ()}],
-                             ids=["hybrid", "baseline"])
-    def test_a_two_cpu_run_writes_the_one_cpu_bytes(self, model_overrides, dataset, tmp_path,
+    # baseline model's training forward shares nothing and runs on this
+    # thread; the float32 run shares as the hybrid one does, in float32
+    @pytest.mark.parametrize("overrides", [{}, {"model_overrides": {"hybrid_positions": ()}},
+                                           {"precision": "float32"}],
+                             ids=["hybrid", "baseline", "float32"])
+    def test_a_two_cpu_run_writes_the_one_cpu_bytes(self, overrides, dataset, tmp_path,
                                                     monkeypatch, helper_jobs):
         # gate 8 under threads: with small patch chunks every training conv
         # takes several, and the run's files are those of a one-CPU run
         monkeypatch.setattr(T, "_PATCH_BYTES", 1 << 15)
-        cfg = make_config(epochs=2, model_overrides=model_overrides)
+        cfg = make_config(epochs=2, **overrides)
         with monkeypatch.context() as one_cpu:
             one_cpu.setattr(T, "usable_cpus", lambda: 1)
             serial = train(cfg, dataset, os.path.join(tmp_path, "serial"))
-        assert helper_jobs == []  # the next batch too is assembled inline
+        assert helper_jobs == []  # each step assembles its own batch
         walk_jobs = []  # the jobs submitted while a backward walk runs
         assemblies = []  # per training step, batch assemblies submitted before its walk
         real_backward = T.backward
@@ -194,6 +196,31 @@ class TestReproducibility:
             a, b = Path(getattr(split, sub)), Path(getattr(serial, sub))
             assert sorted(os.listdir(a)) == sorted(os.listdir(b)) == ["checkpoint.dkt"]
             assert (a / "checkpoint.dkt").read_bytes() == (b / "checkpoint.dkt").read_bytes()
+
+    def test_at_one_cpu_each_batch_is_assembled_after_the_previous_backward(
+            self, dataset, tmp_path, monkeypatch, helper_jobs):
+        # with no helper to take it, batch s+1 is drawn and assembled where
+        # step s+1 takes it, so no batch is held through step s
+        train_module = importlib.import_module("gazemoe.train")
+        monkeypatch.setattr(T, "usable_cpus", lambda: 1)
+        events = []
+        real_assemble, real_backward = train_module._assemble, T.backward
+
+        def assemble(rows, cache, dtype, augment_cfg=None, rng=None):
+            if rng is not None:  # a training batch; the evaluation pass draws none
+                events.append(("assemble", threading.current_thread()))
+            return real_assemble(rows, cache, dtype, augment_cfg, rng)
+
+        def backward(loss):
+            real_backward(loss)
+            events.append(("backward", threading.current_thread()))
+
+        monkeypatch.setattr(train_module, "_assemble", assemble)
+        monkeypatch.setattr(T, "backward", backward)
+        train(make_config(epochs=2), dataset, str(tmp_path))
+        here = threading.current_thread()
+        assert events == [("assemble", here), ("backward", here)] * 4  # 4 training steps
+        assert helper_jobs == []
 
     def test_seed_changes_the_run(self, dataset, tmp_path):
         res_a = train(make_config(epochs=1), dataset, os.path.join(tmp_path, "a"))
